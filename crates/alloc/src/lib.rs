@@ -220,86 +220,3 @@ unsafe impl GlobalAlloc for TrackingAlloc {
         new_ptr
     }
 }
-
-#[cfg(test)]
-#[global_allocator]
-static TEST_ALLOC: TrackingAlloc = TrackingAlloc::new();
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Tests mutate process-wide state; serialize them.
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn tracking_counts_allocations_and_bytes() {
-        let _lock = test_lock();
-        set_tracking(true);
-        let before = stats();
-        let v: Vec<u8> = Vec::with_capacity(64 * 1024);
-        let during = stats();
-        drop(v);
-        let after = stats();
-        set_tracking(false);
-        assert!(during.alloc_calls > before.alloc_calls);
-        assert!(during.allocated_bytes >= before.allocated_bytes + 64 * 1024);
-        assert!(during.current_bytes >= before.current_bytes + 64 * 1024);
-        assert!(after.dealloc_calls > during.dealloc_calls);
-        assert!(after.freed_bytes >= during.freed_bytes + 64 * 1024);
-        assert!(after.peak_bytes >= during.current_bytes);
-    }
-
-    #[test]
-    fn disabled_tracking_counts_nothing() {
-        let _lock = test_lock();
-        set_tracking(false);
-        let before = stats();
-        let v: Vec<u8> = Vec::with_capacity(256 * 1024);
-        drop(v);
-        let after = stats();
-        assert_eq!(before.alloc_calls, after.alloc_calls);
-        assert_eq!(before.allocated_bytes, after.allocated_bytes);
-        assert_eq!(before.current_bytes, after.current_bytes);
-    }
-
-    #[test]
-    fn span_peak_rebases_to_live_heap() {
-        let _lock = test_lock();
-        set_tracking(true);
-        // Raise the process peak well above the live heap...
-        let big: Vec<u8> = Vec::with_capacity(1 << 20);
-        drop(big);
-        // ...then rebase: the span peak restarts from `current`, far
-        // below the 1 MiB the process peak retains.
-        let base = rebase_span_peak();
-        assert_eq!(span_peak_bytes(), base);
-        let small: Vec<u8> = Vec::with_capacity(100 * 1024);
-        let peak = span_peak_bytes();
-        drop(small);
-        set_tracking(false);
-        assert!(peak >= base + 100 * 1024, "{peak} vs base {base}");
-        assert!(stats().peak_bytes >= 1 << 20);
-    }
-
-    #[test]
-    fn realloc_keeps_call_counts_balanced() {
-        let _lock = test_lock();
-        set_tracking(true);
-        let before = stats();
-        let mut v: Vec<u8> = vec![0; 1024];
-        v.reserve(64 * 1024); // likely realloc; at minimum alloc+free
-        drop(v);
-        let after = stats();
-        set_tracking(false);
-        let allocs = after.alloc_calls - before.alloc_calls;
-        let frees = after.dealloc_calls - before.dealloc_calls;
-        assert_eq!(allocs, frees, "every grow pairs an alloc with a free");
-        // All of it was freed again: the live heap is back where it
-        // started (other test threads may have allocated, so >=).
-        assert!(after.allocated_bytes - before.allocated_bytes >= 65 * 1024);
-    }
-}

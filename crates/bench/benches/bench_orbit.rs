@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use leo_geomath::LatLng;
 use leo_orbit::coverage::{coverage, CoverageConfig};
-use leo_orbit::density::empirical_density_factor;
+use leo_orbit::density::{empirical_density_factor, empirical_density_factors};
 use leo_orbit::{density_factor, CircularOrbit, WalkerShell};
 use std::hint::black_box;
 
@@ -28,6 +28,13 @@ fn bench_orbit(c: &mut Criterion) {
     group.bench_function("empirical_density_288_sats", |b| {
         let shell = WalkerShell::new(550.0, 53.0, 18, 16, 5);
         b.iter(|| black_box(empirical_density_factor(&shell, 37.0, 2.0, 101)))
+    });
+    group.bench_function("empirical_density_7_lats_batch_720_sats", |b| {
+        // The orbit-validate table: one propagation pass bins all seven
+        // latitudes.
+        let shell = WalkerShell::new(550.0, 53.0, 36, 20, 11);
+        let lats = [0.0, 10.0, 20.0, 30.0, 37.0, 45.0, 50.0];
+        b.iter(|| black_box(empirical_density_factors(&shell, &lats, 2.0, 257)))
     });
     group.bench_function("coverage_gen1_shell", |b| {
         let shells = [WalkerShell::starlink_gen1_shell1()];

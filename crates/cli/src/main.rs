@@ -1450,9 +1450,10 @@ fn orbit_validate(out: &Path) {
     let shell = WalkerShell::new(550.0, 53.0, 36, 20, 11);
     let mut csv = CsvWriter::new();
     csv.record(&["latitude", "analytic", "empirical"]);
-    for lat in [0.0f64, 10.0, 20.0, 30.0, 37.0, 45.0, 50.0] {
+    let lats = [0.0f64, 10.0, 20.0, 30.0, 37.0, 45.0, 50.0];
+    let empiricals = leo_orbit::density::empirical_density_factors(&shell, &lats, 2.0, 257);
+    for (&lat, &empirical) in lats.iter().zip(&empiricals) {
         let analytic = leo_orbit::density_factor(lat, 53.0).unwrap();
-        let empirical = leo_orbit::density::empirical_density_factor(&shell, lat, 2.0, 257);
         t.row(&[
             format!("{lat:.0}"),
             format!("{analytic:.4}"),

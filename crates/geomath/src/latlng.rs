@@ -90,15 +90,30 @@ impl LatLng {
     /// Recovers a geodetic coordinate from any nonzero direction vector.
     pub fn from_vec(v: Vec3) -> Self {
         let u = v.normalized();
-        let lat = u.z.clamp(-1.0, 1.0).asin();
         let lng = u.y.atan2(u.x);
-        Self::from_radians(lat, lng)
+        LatLng {
+            lat: lat_deg_of_unit(u),
+            lng: normalize_lng_deg(lng.to_degrees()),
+        }
+    }
+
+    /// The latitude of [`LatLng::from_vec`]`(v)`, degrees, bit for bit,
+    /// without the longitude's `atan2`: for filters that test latitude
+    /// first and need the full point only for the vectors that pass.
+    pub fn lat_deg_of_vec(v: Vec3) -> f64 {
+        lat_deg_of_unit(v.normalized())
     }
 
     /// Central angle (radians) between two points along the great circle.
     pub fn central_angle_rad(&self, other: &LatLng) -> f64 {
         crate::sphere::central_angle_rad(self, other)
     }
+}
+
+/// Latitude in degrees of a unit direction vector.
+#[inline]
+fn lat_deg_of_unit(u: Vec3) -> f64 {
+    normalize_lat_deg(u.z.clamp(-1.0, 1.0).asin().to_degrees())
 }
 
 impl fmt::Display for LatLng {

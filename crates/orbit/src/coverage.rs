@@ -8,9 +8,11 @@
 //! The orbit-validate experiment (EXT-COV in DESIGN.md) reports the
 //! minimum and mean counts, and the `leo-bench` suite regenerates them.
 
+use crate::frames;
+use crate::propagate::OrbitConsts;
 use crate::visibility;
 use crate::walker::WalkerShell;
-use leo_geomath::LatLng;
+use leo_geomath::{LatLng, Vec3};
 use leo_parallel::par_map;
 
 /// Coverage statistics for one ground point.
@@ -45,12 +47,22 @@ impl Default for CoverageConfig {
     }
 }
 
+/// Slack on the cone prefilter's cosine bound in [`coverage`]. The dot
+/// product of two unit vectors and the haversine central angle each
+/// carry ~1e-15 of rounding, so a satellite the exact test accepts
+/// clears `cos λ − CONE_SLACK` with orders of magnitude to spare: the
+/// prefilter only skips satellites the exact test would reject.
+const CONE_SLACK: f64 = 1e-9;
+
 /// Computes coverage statistics for each ground point under the union
 /// of `shells`.
 ///
-/// Complexity is `O(time_samples × satellites × points)` with a cheap
-/// latitude-band prefilter; a full 8k-satellite constellation over a
-/// handful of points runs in well under a second.
+/// Complexity is `O(time_samples × satellites × points)`. Each
+/// satellite costs one propagation and a dot product per point; only
+/// satellites inside (or within [`CONE_SLACK`] of) a point's coverage
+/// cone reach the latitude prefilter and the exact great-circle test,
+/// so a full 8k-satellite constellation over a handful of points runs
+/// in tens of milliseconds.
 pub fn coverage(
     shells: &[WalkerShell],
     points: &[LatLng],
@@ -58,7 +70,22 @@ pub fn coverage(
 ) -> Vec<CoverageStats> {
     assert!(cfg.time_samples > 0, "need at least one sample");
     let _span = leo_obs::span!("orbit.mc_coverage");
-    let sats: Vec<_> = shells.iter().flat_map(|s| s.satellites()).collect();
+    // Per satellite: orbit constants, the coverage-cap angle λ and the
+    // cone prefilter's bound on cos λ. The cap depends only on the
+    // shell's altitude, so it is computed once per shell.
+    let sats: Vec<(OrbitConsts, f64, f64)> = shells
+        .iter()
+        .flat_map(|shell| {
+            let lambda =
+                visibility::coverage_cap_angle_rad(shell.altitude_km, cfg.min_elevation_deg);
+            let cos_floor = lambda.cos() - CONE_SLACK;
+            shell
+                .satellites()
+                .into_iter()
+                .map(move |s| (s.orbit.consts(), lambda, cos_floor))
+        })
+        .collect();
+    let ground: Vec<Vec3> = points.iter().map(LatLng::to_unit_vec).collect();
     leo_obs::metrics::counter_add(
         "orbit.mc_samples",
         cfg.time_samples as u64 * sats.len() as u64,
@@ -70,35 +97,32 @@ pub fn coverage(
     let samples: Vec<u32> = (0..cfg.time_samples).collect();
     let per_sample: Vec<Vec<u32>> = par_map(&samples, |_, &k| {
         let t = cfg.span_s * k as f64 / cfg.time_samples as f64;
-        // Sub-satellite points at this instant, with per-sat cap angle.
-        let ssps: Vec<(LatLng, f64)> = sats
-            .iter()
-            .map(|s| {
-                (
-                    s.orbit.subsatellite(t),
-                    visibility::coverage_cap_angle_rad(
-                        s.orbit.altitude_km(),
-                        cfg.min_elevation_deg,
-                    ),
-                )
-            })
-            .collect();
-        points
-            .iter()
-            .map(|p| {
-                let mut count = 0u32;
-                for (ssp, lambda) in &ssps {
-                    // Latitude prefilter: |Δlat| alone can exceed λ.
-                    if (ssp.lat_deg() - p.lat_deg()).abs().to_radians() > *lambda {
-                        continue;
-                    }
-                    if p.central_angle_rad(ssp) <= *lambda {
-                        count += 1;
-                    }
+        let rot = frames::earth_rotation_sin_cos(t);
+        let mut counts = vec![0u32; points.len()];
+        for (orbit, lambda, cos_floor) in &sats {
+            let p_ecef = orbit.position_ecef(t, rot);
+            let dir = p_ecef.normalized();
+            // The sub-satellite latitude, then the full point (its
+            // longitude), only once some ground point needs them.
+            let mut ssp_lat = None;
+            let mut ssp = None;
+            for ((count, p), g) in counts.iter_mut().zip(points).zip(&ground) {
+                // Cone prefilter: outside the cap by more than rounding.
+                if dir.dot(*g) < *cos_floor {
+                    continue;
                 }
-                count
-            })
-            .collect()
+                let lat = *ssp_lat.get_or_insert_with(|| LatLng::lat_deg_of_vec(p_ecef));
+                // Latitude prefilter: |Δlat| alone can exceed λ.
+                if (lat - p.lat_deg()).abs().to_radians() > *lambda {
+                    continue;
+                }
+                let ssp = ssp.get_or_insert_with(|| frames::subsatellite_point(p_ecef));
+                if p.central_angle_rad(ssp) <= *lambda {
+                    *count += 1;
+                }
+            }
+        }
+        counts
     });
     let mut totals = vec![(u32::MAX, 0u64, 0u64); points.len()];
     for counts in &per_sample {
@@ -137,6 +161,93 @@ pub fn expected_in_view(shells: &[WalkerShell], lat_deg: f64, min_elevation_deg:
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The coverage run as written before the batch kernel: a full
+    /// `subsatellite(t)` per satellite and sample, the latitude
+    /// prefilter, then the exact great-circle test.
+    fn reference_coverage(
+        shells: &[WalkerShell],
+        points: &[LatLng],
+        cfg: &CoverageConfig,
+    ) -> Vec<CoverageStats> {
+        let sats: Vec<_> = shells.iter().flat_map(|s| s.satellites()).collect();
+        let mut totals = vec![(u32::MAX, 0u64, 0u64); points.len()];
+        for k in 0..cfg.time_samples {
+            let t = cfg.span_s * k as f64 / cfg.time_samples as f64;
+            for (entry, p) in totals.iter_mut().zip(points) {
+                let mut count = 0u32;
+                for s in &sats {
+                    let ssp = s.orbit.subsatellite(t);
+                    let lambda = visibility::coverage_cap_angle_rad(
+                        s.orbit.altitude_km(),
+                        cfg.min_elevation_deg,
+                    );
+                    if (ssp.lat_deg() - p.lat_deg()).abs().to_radians() > lambda {
+                        continue;
+                    }
+                    if p.central_angle_rad(&ssp) <= lambda {
+                        count += 1;
+                    }
+                }
+                entry.0 = entry.0.min(count);
+                entry.1 += count as u64;
+                entry.2 += u64::from(count > 0);
+            }
+        }
+        totals
+            .into_iter()
+            .map(|(min_in_view, sum, avail)| CoverageStats {
+                min_in_view,
+                mean_in_view: sum as f64 / cfg.time_samples as f64,
+                availability: avail as f64 / cfg.time_samples as f64,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn coverage_matches_per_call_reference_exactly() {
+        let shells = [
+            WalkerShell::starlink_gen1_shell1(),
+            WalkerShell::new(570.0, 70.0, 36, 20, 11),
+            WalkerShell::new(560.0, 97.6, 10, 50, 1),
+        ];
+        let points: Vec<LatLng> = (-4..=5)
+            .flat_map(|i| (-4..4).map(move |j| LatLng::new(15.0 * i as f64, 45.0 * j as f64)))
+            .collect();
+        let cfg = CoverageConfig {
+            time_samples: 12,
+            ..CoverageConfig::default()
+        };
+        assert_eq!(
+            coverage(&shells, &points, &cfg),
+            reference_coverage(&shells, &points, &cfg)
+        );
+    }
+
+    #[test]
+    fn cone_prefilter_keeps_satellites_on_the_cap_edge() {
+        let lambda = visibility::coverage_cap_angle_rad(550.0, 25.0);
+        let cos_floor = lambda.cos() - CONE_SLACK;
+        let mut on_edge = 0;
+        for lat in (-8..=8).map(|i| 10.0 * i as f64 + 0.37) {
+            let p = LatLng::new(lat, -98.35);
+            for bearing in (0..24).map(|b| 15.0 * b as f64) {
+                for scale in [1.0 - 1e-9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12] {
+                    let km = lambda * scale * leo_geomath::EARTH_RADIUS_KM;
+                    let ssp = leo_geomath::destination(&p, bearing, km);
+                    if p.central_angle_rad(&ssp) <= lambda {
+                        on_edge += 1;
+                        let dot = ssp.to_unit_vec().dot(p.to_unit_vec());
+                        assert!(
+                            dot >= cos_floor,
+                            "{p} bearing {bearing}: {dot} < {cos_floor}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(on_edge > 17 * 24, "{on_edge} edge points accepted");
+    }
 
     #[test]
     fn gen1_shell_covers_conus_continuously() {

@@ -35,9 +35,12 @@
 //! to sustain a required density at one latitude — exactly the paper's
 //! "work backwards from the satellite density at the peak demand cell".
 
+use crate::frames;
+use crate::propagate::OrbitConsts;
 use crate::walker::WalkerShell;
 use leo_geomath::constants::EARTH_SURFACE_AREA_KM2;
-use leo_parallel::par_sum_u64;
+use leo_geomath::LatLng;
+use leo_parallel::par_map;
 
 /// Dimensionless sub-satellite density factor `d(φ, i)` of an inclined
 /// Walker shell at latitude `lat_deg`; `None` when the latitude is at or
@@ -86,39 +89,73 @@ pub fn time_fraction_in_band(inclination_deg: f64, lat_lo_deg: f64, lat_hi_deg: 
 /// orbital period and counting sub-satellite points in a band of
 /// half-width `band_deg` around `lat_deg`.
 ///
-/// Converges to [`density_factor`] as samples grow; the orbit-validate
-/// experiment and tests compare the two.
+/// Converges to [`density_factor`] as samples grow; tests compare the
+/// two. One latitude of [`empirical_density_factors`], bit for bit.
 pub fn empirical_density_factor(
     shell: &WalkerShell,
     lat_deg: f64,
     band_deg: f64,
     time_samples: u32,
 ) -> f64 {
+    empirical_density_factors(shell, &[lat_deg], band_deg, time_samples)[0]
+}
+
+/// [`empirical_density_factor`] at every latitude of `lats_deg`, from
+/// one propagation pass: each (satellite, instant) is propagated once
+/// and its latitude binned against every band, so the cost barely
+/// grows with the number of latitudes. The orbit-validate experiment
+/// calls this once for its whole table.
+pub fn empirical_density_factors(
+    shell: &WalkerShell,
+    lats_deg: &[f64],
+    band_deg: f64,
+    time_samples: u32,
+) -> Vec<f64> {
     assert!(band_deg > 0.0 && time_samples > 0);
     let _span = leo_obs::span!("orbit.mc_density");
     let sats = shell.satellites();
+    let orbits: Vec<OrbitConsts> = sats.iter().map(|s| s.orbit.consts()).collect();
     leo_obs::metrics::counter_add("orbit.mc_samples", time_samples as u64 * sats.len() as u64);
     let n = sats.len() as f64;
     let period = sats[0].orbit.period_s();
     // Time samples are independent; hits are integer counts, so the
-    // parallel sum is exact and thread-count-invariant.
-    let in_band = par_sum_u64(time_samples as usize, |k| {
+    // merged per-band totals are exact and thread-count-invariant.
+    let samples: Vec<u32> = (0..time_samples).collect();
+    let per_sample: Vec<Vec<u64>> = par_map(&samples, |_, &k| {
         let t = period * k as f64 / time_samples as f64;
-        sats.iter()
-            .filter(|s| {
-                let lat = s.orbit.subsatellite(t).lat_deg();
-                (lat - lat_deg).abs() <= band_deg
-            })
-            .count() as u64
+        let rot = frames::earth_rotation_sin_cos(t);
+        let mut hits = vec![0u64; lats_deg.len()];
+        for o in &orbits {
+            let lat = LatLng::lat_deg_of_vec(o.position_ecef(t, rot));
+            for (h, &lat_deg) in hits.iter_mut().zip(lats_deg) {
+                if (lat - lat_deg).abs() <= band_deg {
+                    *h += 1;
+                }
+            }
+        }
+        hits
     });
-    leo_obs::metrics::counter_add("orbit.mc_in_band", in_band);
-    let frac = in_band as f64 / (n * time_samples as f64);
-    // Convert band occupancy to a density factor: the band covers
-    // area 2πR²·(sin(φ+Δ) − sin(φ−Δ)) ≈ fraction of Earth's surface.
-    let lo = (lat_deg - band_deg).to_radians().sin();
-    let hi = (lat_deg + band_deg).to_radians().sin();
-    let band_area_fraction = (hi - lo) / 2.0;
-    frac / band_area_fraction
+    let mut in_band = vec![0u64; lats_deg.len()];
+    for hits in &per_sample {
+        for (total, h) in in_band.iter_mut().zip(hits) {
+            *total += h;
+        }
+    }
+    leo_obs::metrics::counter_add("orbit.mc_in_band", in_band.iter().sum());
+    lats_deg
+        .iter()
+        .zip(&in_band)
+        .map(|(&lat_deg, &hits)| {
+            let frac = hits as f64 / (n * time_samples as f64);
+            // Convert band occupancy to a density factor: the band
+            // covers area 2πR²·(sin(φ+Δ) − sin(φ−Δ)) ≈ fraction of
+            // Earth's surface.
+            let lo = (lat_deg - band_deg).to_radians().sin();
+            let hi = (lat_deg + band_deg).to_radians().sin();
+            let band_area_fraction = (hi - lo) / 2.0;
+            frac / band_area_fraction
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -211,6 +248,55 @@ mod tests {
             let empirical = empirical_density_factor(&shell, lat, 2.0, 211);
             let rel = (empirical - analytic).abs() / analytic;
             assert!(rel < 0.05, "lat {lat}: empirical {empirical} vs {analytic}");
+        }
+    }
+
+    /// The Monte-Carlo count as written before batching: one latitude
+    /// per pass, each sub-satellite point from `subsatellite(t)`.
+    fn reference_density_factor(
+        shell: &WalkerShell,
+        lat_deg: f64,
+        band_deg: f64,
+        samples: u32,
+    ) -> f64 {
+        let sats = shell.satellites();
+        let period = sats[0].orbit.period_s();
+        let mut in_band = 0u64;
+        for k in 0..samples {
+            let t = period * k as f64 / samples as f64;
+            for s in &sats {
+                if (s.orbit.subsatellite(t).lat_deg() - lat_deg).abs() <= band_deg {
+                    in_band += 1;
+                }
+            }
+        }
+        let frac = in_band as f64 / (sats.len() as f64 * samples as f64);
+        let lo = (lat_deg - band_deg).to_radians().sin();
+        let hi = (lat_deg + band_deg).to_radians().sin();
+        frac / ((hi - lo) / 2.0)
+    }
+
+    #[test]
+    fn batch_density_matches_per_latitude_calls_bit_for_bit() {
+        let shell = WalkerShell::new(550.0, 53.0, 36, 20, 11);
+        // The orbit-validate table's latitudes plus a southern one, one
+        // at the inclination edge and one the shell never reaches.
+        let lats = [0.0, 10.0, 20.0, 30.0, 37.0, 45.0, 50.0, -33.0, 53.0, 60.0];
+        let batch = empirical_density_factors(&shell, &lats, 2.0, 97);
+        assert_eq!(batch.len(), lats.len());
+        for (&lat, &d) in lats.iter().zip(&batch) {
+            let single = empirical_density_factor(&shell, lat, 2.0, 97);
+            assert_eq!(d.to_bits(), single.to_bits(), "lat {lat}");
+            let reference = reference_density_factor(&shell, lat, 2.0, 97);
+            assert_eq!(d.to_bits(), reference.to_bits(), "lat {lat}");
+        }
+        assert_eq!(batch[9], 0.0, "60° is never overflown");
+        for threads in [1, 2, 4] {
+            let again = leo_parallel::with_threads(threads, || {
+                empirical_density_factors(&shell, &lats, 2.0, 97)
+            });
+            let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(to_bits(&again), to_bits(&batch), "{threads} threads");
         }
     }
 

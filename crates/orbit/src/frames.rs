@@ -21,10 +21,21 @@ pub fn earth_rotation_angle_rad(t_s: f64) -> f64 {
     (EARTH_ROTATION_RATE_RAD_S * t_s) % (2.0 * std::f64::consts::PI)
 }
 
+/// `(sin θ, cos θ)` of the Earth rotation angle at `t_s`: the one trig
+/// pair every ECI→ECEF rotation at that instant shares.
+pub fn earth_rotation_sin_cos(t_s: f64) -> (f64, f64) {
+    earth_rotation_angle_rad(t_s).sin_cos()
+}
+
 /// Rotates an ECI position into ECEF at time `t_s`.
 pub fn eci_to_ecef(p_eci: Vec3, t_s: f64) -> Vec3 {
-    let theta = earth_rotation_angle_rad(t_s);
-    let (s, c) = theta.sin_cos();
+    rotate_eci_to_ecef(p_eci, earth_rotation_sin_cos(t_s))
+}
+
+/// Rotates an ECI position into ECEF given the rotation's
+/// [`earth_rotation_sin_cos`].
+#[inline]
+pub fn rotate_eci_to_ecef(p_eci: Vec3, (s, c): (f64, f64)) -> Vec3 {
     // ECEF = Rz(−θ)·ECI (the Earth rotates +θ, so fixed coordinates
     // rotate the other way).
     Vec3::new(
@@ -95,6 +106,46 @@ mod tests {
         for t in [0.0, 1.0, 1234.5, 86_400.0] {
             let back = ecef_to_eci(eci_to_ecef(p, t), t);
             assert!((back - p).norm() < 1e-9, "t={t}");
+        }
+    }
+
+    #[test]
+    fn subsatellite_latitude_matches_from_vec_bit_for_bit() {
+        // The Monte-Carlo prefilters bin `LatLng::lat_deg_of_vec`; it
+        // must be exactly the latitude of the full sub-satellite point.
+        let mut vectors = vec![
+            Vec3::new(0.0, 0.0, 0.0),
+            Vec3::new(0.0, 0.0, 6921.0),
+            Vec3::new(0.0, 0.0, -6921.0),
+            Vec3::new(6921.0, 0.0, 0.0),
+            Vec3::new(-1e-300, 1e-300, 1e-300),
+        ];
+        for shell in crate::WalkerShell::starlink_current_2025() {
+            for sat in shell.satellites() {
+                for t in [0.0, 1234.5, 90_000.0] {
+                    vectors.push(eci_to_ecef(sat.orbit.position_eci(t), t));
+                }
+            }
+        }
+        for v in vectors {
+            assert_eq!(
+                LatLng::lat_deg_of_vec(v).to_bits(),
+                subsatellite_point(v).lat_deg().to_bits(),
+                "{v:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn shared_rotation_matches_eci_to_ecef() {
+        let p = Vec3::new(4000.0, -3000.0, 5000.0);
+        for t in [0.0, 1.0, 1234.5, 86_400.0, 1e6] {
+            let a = rotate_eci_to_ecef(p, earth_rotation_sin_cos(t));
+            let b = eci_to_ecef(p, t);
+            assert_eq!(
+                [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()],
+                [b.x.to_bits(), b.y.to_bits(), b.z.to_bits()]
+            );
         }
     }
 

@@ -109,10 +109,12 @@ pub fn user_gateway_path(
 ) -> Option<GatewayPath> {
     let sats = topo.shell.satellites();
     let alt = topo.shell.altitude_km;
-    // Positions and sub-satellite points at t.
+    // Positions and sub-satellite points at t, sharing one Earth
+    // rotation across the shell.
+    let rot = crate::frames::earth_rotation_sin_cos(t_s);
     let ecef: Vec<Vec3> = sats
         .iter()
-        .map(|s| crate::frames::eci_to_ecef(s.orbit.position_eci(t_s), t_s))
+        .map(|s| s.orbit.consts().position_ecef(t_s, rot))
         .collect();
     let ssps: Vec<LatLng> = ecef
         .iter()

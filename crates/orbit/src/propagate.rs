@@ -69,17 +69,7 @@ impl CircularOrbit {
 
     /// ECI position at `t_s` seconds past epoch, km.
     pub fn position_eci(&self, t_s: f64) -> Vec3 {
-        let u = self.arg_lat_epoch_rad + self.mean_motion_rad_s() * t_s;
-        let (su, cu) = u.sin_cos();
-        let (si, ci) = self.inclination_rad.sin_cos();
-        let (so, co) = self.raan_rad.sin_cos();
-        let r = self.radius_km();
-        // Position in the orbital plane rotated by inclination then RAAN.
-        Vec3::new(
-            r * (co * cu - so * su * ci),
-            r * (so * cu + co * su * ci),
-            r * (su * si),
-        )
+        self.consts().position_eci(t_s)
     }
 
     /// ECI velocity at `t_s` seconds past epoch, km/s.
@@ -100,14 +90,117 @@ impl CircularOrbit {
     pub fn subsatellite(&self, t_s: f64) -> LatLng {
         frames::subsatellite_point(frames::eci_to_ecef(self.position_eci(t_s), t_s))
     }
+
+    /// The time-independent terms of [`CircularOrbit::position_eci`],
+    /// for propagating this orbit at many instants.
+    pub fn consts(&self) -> OrbitConsts {
+        let (sin_i, cos_i) = self.inclination_rad.sin_cos();
+        let (sin_raan, cos_raan) = self.raan_rad.sin_cos();
+        OrbitConsts {
+            radius_km: self.radius_km(),
+            mean_motion_rad_s: self.mean_motion_rad_s(),
+            arg_lat_epoch_rad: self.arg_lat_epoch_rad,
+            sin_i,
+            cos_i,
+            sin_raan,
+            cos_raan,
+        }
+    }
+}
+
+/// Per-satellite constants of a [`CircularOrbit`]: radius, mean motion,
+/// epoch argument of latitude and the inclination/RAAN trig, computed
+/// once so that a position costs one `sin_cos`.
+///
+/// Bulk propagation (Monte-Carlo density and coverage, path latency)
+/// builds these once per satellite and shares one Earth-rotation
+/// [`frames::earth_rotation_sin_cos`] across every satellite at an
+/// instant. [`CircularOrbit::position_eci`] is evaluated through these
+/// constants too, so [`OrbitConsts::position_ecef`] is bit-identical to
+/// `eci_to_ecef(position_eci(t), t)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OrbitConsts {
+    radius_km: f64,
+    mean_motion_rad_s: f64,
+    arg_lat_epoch_rad: f64,
+    sin_i: f64,
+    cos_i: f64,
+    sin_raan: f64,
+    cos_raan: f64,
+}
+
+impl OrbitConsts {
+    /// ECI position at `t_s` seconds past epoch, km.
+    #[inline]
+    pub fn position_eci(&self, t_s: f64) -> Vec3 {
+        let u = self.arg_lat_epoch_rad + self.mean_motion_rad_s * t_s;
+        let (su, cu) = u.sin_cos();
+        let (si, ci) = (self.sin_i, self.cos_i);
+        let (so, co) = (self.sin_raan, self.cos_raan);
+        let r = self.radius_km;
+        // Position in the orbital plane rotated by inclination then RAAN.
+        Vec3::new(
+            r * (co * cu - so * su * ci),
+            r * (so * cu + co * su * ci),
+            r * (su * si),
+        )
+    }
+
+    /// ECEF position at `t_s` seconds past epoch, km, given that
+    /// instant's Earth-rotation `(sin θ, cos θ)`.
+    #[inline]
+    pub fn position_ecef(&self, t_s: f64, earth_rotation: (f64, f64)) -> Vec3 {
+        frames::rotate_eci_to_ecef(self.position_eci(t_s), earth_rotation)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walker::WalkerShell;
+    use leo_geomath::constants::SIDEREAL_DAY_S;
 
     fn starlink_orbit() -> CircularOrbit {
         CircularOrbit::new(550.0, 53.0, 30.0, 0.0)
+    }
+
+    /// The per-call ECI propagation as written before [`OrbitConsts`]:
+    /// every term re-derived from the orbit's elements.
+    fn reference_position_eci(o: &CircularOrbit, t_s: f64) -> Vec3 {
+        let u = o.arg_lat_epoch_rad + o.mean_motion_rad_s() * t_s;
+        let (su, cu) = u.sin_cos();
+        let (si, ci) = o.inclination_rad.sin_cos();
+        let (so, co) = o.raan_rad.sin_cos();
+        let r = o.radius_km();
+        Vec3::new(
+            r * (co * cu - so * su * ci),
+            r * (so * cu + co * su * ci),
+            r * (su * si),
+        )
+    }
+
+    fn bits(v: Vec3) -> [u64; 3] {
+        [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]
+    }
+
+    #[test]
+    fn orbit_consts_match_per_call_propagation_bit_for_bit() {
+        // Every satellite of the ~8000-satellite constellation, at the
+        // epoch, mid-orbit, and past one full Earth rotation (where the
+        // rotation angle's `%` wraps).
+        let times = [0.0, 1.0, 731.0, 5731.0, SIDEREAL_DAY_S + 1234.5, 250_000.25];
+        for shell in WalkerShell::starlink_current_2025() {
+            for sat in shell.satellites() {
+                let c = sat.orbit.consts();
+                for t in times {
+                    let rot = frames::earth_rotation_sin_cos(t);
+                    let reference = frames::eci_to_ecef(reference_position_eci(&sat.orbit, t), t);
+                    assert_eq!(bits(c.position_ecef(t, rot)), bits(reference), "t={t}");
+                    let per_call = frames::eci_to_ecef(sat.orbit.position_eci(t), t);
+                    assert_eq!(bits(c.position_ecef(t, rot)), bits(per_call), "t={t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Property-based tests for orbital invariants.
 
-use leo_geomath::constants::EARTH_RADIUS_KM;
+use leo_geomath::constants::{EARTH_MU_KM3_S2, EARTH_RADIUS_KM};
 use leo_geomath::LatLng;
-use leo_orbit::frames::{ecef_to_eci, ecef_to_geodetic_wgs84, eci_to_ecef, geodetic_to_ecef_wgs84};
+use leo_orbit::frames::{
+    earth_rotation_sin_cos, ecef_to_eci, ecef_to_geodetic_wgs84, eci_to_ecef,
+    geodetic_to_ecef_wgs84,
+};
 use leo_orbit::{coverage_cap_angle_rad, density_factor, CircularOrbit, WalkerShell};
 use proptest::prelude::*;
 
@@ -34,6 +37,38 @@ proptest! {
         let h1 = o.position_eci(t1).cross(o.velocity_eci(t1));
         let h2 = o.position_eci(t2).cross(o.velocity_eci(t2));
         prop_assert!((h1 - h2).norm() < 1e-6);
+    }
+
+    #[test]
+    fn orbit_consts_propagation_is_bit_identical(
+        alt in 300.0..2000.0f64,
+        incl in 0.0..180.0f64,
+        raan in 0.0..360.0f64,
+        arg in 0.0..360.0f64,
+        t in 0.0..500_000.0f64,
+    ) {
+        let o = CircularOrbit::new(alt, incl, raan, arg);
+        let rot = earth_rotation_sin_cos(t);
+        let fast = o.consts().position_ecef(t, rot);
+        // Circular two-body propagation spelled out from the elements.
+        let a = EARTH_RADIUS_KM + alt;
+        let period = 2.0 * std::f64::consts::PI * (a * a * a / EARTH_MU_KM3_S2).sqrt();
+        let u = arg.to_radians() + 2.0 * std::f64::consts::PI / period * t;
+        let (su, cu) = u.sin_cos();
+        let (si, ci) = incl.to_radians().sin_cos();
+        let (so, co) = raan.to_radians().sin_cos();
+        let eci = leo_geomath::Vec3::new(
+            a * (co * cu - so * su * ci),
+            a * (so * cu + co * su * ci),
+            a * (su * si),
+        );
+        let bits = |v: leo_geomath::Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        prop_assert_eq!(bits(fast), bits(eci_to_ecef(eci, t)));
+        prop_assert_eq!(bits(fast), bits(eci_to_ecef(o.position_eci(t), t)));
+        prop_assert_eq!(
+            LatLng::lat_deg_of_vec(fast).to_bits(),
+            o.subsatellite(t).lat_deg().to_bits()
+        );
     }
 
     #[test]

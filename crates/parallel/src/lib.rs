@@ -16,9 +16,6 @@
 //!   reassembles results **in input order**; each element's value
 //!   depends only on the element (callers derive per-element RNG
 //!   streams via [`mix64`] instead of sharing one sequential stream);
-//! * [`par_sum_u64`] folds chunk results with an associative,
-//!   commutative integer merge, which is order-insensitive by
-//!   construction (no float accumulation across chunk boundaries);
 //! * [`Memo`] caches a value computed once; racing initializers both
 //!   compute the same deterministic value, and one wins.
 //!
@@ -101,7 +98,7 @@ use std::time::Instant;
 /// metrics registry (`parallel.*` namespace, DESIGN.md §8) and
 /// attributes the fan-out to the caller's owning `stage.*` span via
 /// `leo_obs::scope::attribute_fanout`. `primitive` is the chunk-span
-/// name (`parallel.par_map` / `parallel.par_sum`); its calls counter
+/// name (`parallel.par_map`); its calls counter
 /// is `{primitive}_calls`. Called once per primitive invocation —
 /// never per item — so the instrumentation cost stays off the hot
 /// path. Callers must check [`leo_obs::enabled`] first.
@@ -397,93 +394,6 @@ where
     out
 }
 
-/// Sums `f(i)` for `i in 0..len` of `u64` terms in parallel on the
-/// persistent worker pool. Integer addition is associative and
-/// commutative, so the result is exact and independent of the chunking
-/// — safe for Monte-Carlo hit counting. The same serial-threshold
-/// probe as [`par_map`] keeps tiny sums off the pool.
-pub fn par_sum_u64<F>(len: usize, f: F) -> u64
-where
-    F: Fn(usize) -> u64 + Sync,
-{
-    let workers = effective_threads();
-    if workers <= 1 || len <= 1 {
-        let out = (0..len).map(&f).sum();
-        record_serial(len);
-        return out;
-    }
-    let threshold = effective_serial_threshold_ns();
-    let mut base = 0usize;
-    let mut acc = 0u64;
-    if threshold > 0 {
-        // Same probe policy as `par_map`: integer addition is exact,
-        // so the probed prefix's partial sum folds into the total no
-        // matter how the remainder is chunked. Deep fan-outs still
-        // discard it to keep the chunk plan identical to an unprobed
-        // run; shallow ones keep it.
-        let p0 = Instant::now();
-        let mut elapsed = 0u64;
-        while base < len {
-            acc += f(base);
-            base += 1;
-            elapsed = p0.elapsed().as_nanos() as u64;
-            if elapsed >= PROBE_BUDGET_NS {
-                break;
-            }
-        }
-        let chunk_items = (len / workers).max(1) as u64;
-        let per_chunk = (elapsed / base as u64).saturating_mul(chunk_items);
-        if base == len || per_chunk < threshold {
-            for i in base..len {
-                acc += f(i);
-            }
-            record_serial(len);
-            return acc;
-        }
-        if len > workers {
-            base = 0;
-            acc = 0;
-        }
-    }
-    let obs = leo_obs::enabled();
-    let tracing = leo_trace::enabled();
-    // Same scope/parent propagation as `par_map`.
-    let ctx = leo_obs::scope::ObsContext::current();
-    let t0 = Instant::now();
-    let plan: Vec<(usize, usize)> = chunks(len - base, workers)
-        .into_iter()
-        .map(|(lo, hi)| (lo + base, hi + base))
-        .collect();
-    let slots: Vec<ChunkSlot<u64>> = plan.iter().map(|_| Mutex::new(None)).collect();
-    pool::run_chunks(plan.len(), &|w| {
-        let _obs_ctx = ctx.enter();
-        let (lo, hi) = plan[w];
-        let w0 = Instant::now();
-        let sum = (lo..hi).map(&f).sum::<u64>();
-        let w1 = Instant::now();
-        if tracing {
-            leo_trace::worker_chunk(w, "parallel.par_sum", ctx.parent(), w0, w1, lo, hi);
-        }
-        *slots[w].lock() = Some((sum, w1.saturating_duration_since(w0).as_nanos() as u64));
-    });
-    let mut total = acc;
-    let mut busy = Vec::with_capacity(plan.len());
-    for slot in &slots {
-        let (sum, busy_ns) = slot.lock().take().expect("every chunk completed");
-        total += sum;
-        busy.push(busy_ns);
-    }
-    if obs {
-        record_fanout(
-            "parallel.par_sum",
-            len - base,
-            &busy,
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
-    total
-}
-
 /// A lazily-initialized, thread-safe memo cell.
 ///
 /// Backs derived dataset views (for example the sorted per-cell count
@@ -597,17 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn par_sum_is_exact_for_any_thread_count() {
-        let expect: u64 = (0..10_000u64).map(|i| i * i).sum();
-        for n in [1, 2, 5, 32] {
-            let got = with_serial_threshold(0, || {
-                with_threads(n, || par_sum_u64(10_000, |i| (i as u64) * (i as u64)))
-            });
-            assert_eq!(got, expect, "threads={n}");
-        }
-    }
-
-    #[test]
     fn memo_computes_once_and_shares() {
         use std::sync::atomic::{AtomicU32, Ordering};
         let calls = AtomicU32::new(0);
@@ -703,8 +602,9 @@ mod tests {
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "chunk panic");
         // The worker that caught the panic keeps serving fan-outs.
-        let sum = with_serial_threshold(0, || with_threads(4, || par_sum_u64(64, |i| i as u64)));
-        assert_eq!(sum, (0..64u64).sum::<u64>());
+        let items: Vec<u64> = (0..64).collect();
+        let out = with_serial_threshold(0, || with_threads(4, || par_map(&items, |_, &x| x)));
+        assert_eq!(out, items);
     }
 
     #[test]
@@ -757,10 +657,6 @@ mod tests {
             ids.iter().all(|&id| id == me),
             "shallow sub-threshold work left the caller"
         );
-        let sum = with_serial_threshold(u64::MAX, || {
-            with_threads(8, || par_sum_u64(3, |i| i as u64 + 10))
-        });
-        assert_eq!(sum, 33);
     }
 
     #[test]
@@ -779,19 +675,6 @@ mod tests {
         let serial = with_threads(1, || par_map(&items, slow));
         let probed = with_serial_threshold(1, || with_threads(16, || par_map(&items, slow)));
         assert_eq!(serial, probed);
-        let expect: u64 = (0..50).map(|i| i + 100).sum();
-        let got = with_serial_threshold(1, || {
-            with_threads(16, || {
-                par_sum_u64(50, |i| {
-                    let t0 = Instant::now();
-                    while t0.elapsed().as_micros() < 20 {
-                        std::hint::black_box(i);
-                    }
-                    i as u64 + 100
-                })
-            })
-        });
-        assert_eq!(got, expect);
     }
 
     #[test]
@@ -800,7 +683,7 @@ mod tests {
         leo_obs::set_enabled(true);
         let serial0 = metrics::counter_value("parallel.serial_calls");
         let _ = with_threads(1, || par_map(&[1u64; 10], |_, &x| x));
-        let _ = with_threads(4, || par_sum_u64(1, |i| i as u64));
+        let _ = with_threads(4, || par_map(&[1u64], |_, &x| x));
         assert!(
             metrics::counter_value("parallel.serial_calls") >= serial0 + 2,
             "one-worker and one-item executions must count as serial"
@@ -820,9 +703,6 @@ mod tests {
         assert!(metrics::counter_value("parallel.items") >= items0 + 100);
         // 100 items across 4 workers → at least 4 more chunks.
         assert!(metrics::counter_value("parallel.chunks") >= chunks0 + 4);
-        let sums0 = metrics::counter_value("parallel.par_sum_calls");
-        let _ = with_serial_threshold(0, || with_threads(2, || par_sum_u64(10, |i| i as u64)));
-        assert!(metrics::counter_value("parallel.par_sum_calls") > sums0);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Persistent worker pool: the process-wide threads behind [`par_map`]
-//! and [`par_sum_u64`].
+//! Persistent worker pool: the process-wide threads behind [`par_map`].
 //!
 //! The first fan-out that needs `k` chunks spawns pool workers
 //! `0..k-1` lazily (chunk 0 always runs on the calling thread); every
@@ -31,7 +30,6 @@
 //! [`run_chunks`] returns.
 //!
 //! [`par_map`]: crate::par_map
-//! [`par_sum_u64`]: crate::par_sum_u64
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -167,12 +167,8 @@ pub fn write_folded(path: &Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_lock;
     use std::time::{Duration, Instant};
-
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     /// Builds a small deterministic trace: outer(0..100µs) containing
     /// inner(20..60µs), one instant, an unparented worker chunk of

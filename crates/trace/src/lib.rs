@@ -429,15 +429,17 @@ pub fn reset() {
     *EPOCH.lock() = Some(Instant::now());
 }
 
+/// One lock for every test in the crate (this module's and
+/// `export`'s) that flips the process-wide flags or reads the recorder.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// One lock for every test that flips the process-wide flags.
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn disabled_recorder_allocates_nothing() {

@@ -16,17 +16,53 @@ cargo build --release --workspace
 echo "[tier1] cargo test -q --workspace"
 cargo test -q --workspace
 
+# leo-trace's lib tests share one process-global recorder; repeat them
+# so a race between test modules fails CI instead of passing by luck.
+echo "[tier1] cargo test -q -p leo-trace --lib (5 runs)"
+for _ in 1 2 3 4 5; do
+    cargo test -q -p leo-trace --lib
+done
+
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
 echo "[tier1] divide --scale small all --out $out"
-./target/release/divide --scale small all --out "$out"
+smoke_stdout="$out/smoke_stdout.txt"
+./target/release/divide --scale small all --out "$out" | tee "$smoke_stdout"
 
 # The smoke run must actually produce artifacts, plus the run manifest.
 for f in fig1_cdf.csv fig2_sweep.csv fig3_tail.csv fig4_affordability.csv table2.csv \
          run_manifest.json; do
     [ -s "$out/$f" ] || { echo "[tier1] missing artifact: $f" >&2; exit 1; }
 done
+
+# orbit-validate (EXT-COV) and latency do not depend on --scale, so
+# the smoke run must reproduce the checked-in paper-scale artifacts and
+# EXT-COV tables byte for byte: a drift in the orbit kernel fails here.
+for f in orbit_density.csv latency_paths.csv; do
+    cmp "$out/$f" "results/$f" \
+        || { echo "[tier1] $f differs from results/$f" >&2; exit 1; }
+done
+python3 - "$smoke_stdout" results/paper_run.txt <<'PY'
+import sys
+
+def ext_cov_tables(path):
+    """Each EXT-COV table: its title line through its closing rule."""
+    tables, lines = [], open(path).read().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("EXT-COV:"):
+            rules, end = 0, i
+            while rules < 3:
+                end += 1
+                rules += bool(lines[end]) and set(lines[end]) <= set("-+")
+            tables.append(lines[i:end + 1])
+    return tables
+
+smoke, paper = ext_cov_tables(sys.argv[1]), ext_cov_tables(sys.argv[2])
+assert len(paper) == 2, f"{len(paper)} EXT-COV tables in {sys.argv[2]}"
+assert smoke == paper, "EXT-COV tables differ from results/paper_run.txt"
+print("[tier1] orbit artifacts and EXT-COV tables match results/")
+PY
 
 # At small scale every fan-out is tiny, so the serial-threshold probe
 # (or a 1-thread host) must route at least some of them off the pool —
