@@ -357,7 +357,7 @@ impl DatasetCache {
                         "cache: dataset snapshot {key:016x} undecodable ({e}); regenerating"
                     );
                     leo_obs::metrics::counter_add("cache.invalid", 1);
-                    leo_trace::instant("cache.invalid");
+                    leo_obs::timeline::instant("cache.invalid");
                 }
             }
         }
@@ -383,7 +383,7 @@ impl DatasetCache {
                         "cache: fig2 snapshot {key:016x} undecodable ({e}); regenerating"
                     );
                     leo_obs::metrics::counter_add("cache.invalid", 1);
-                    leo_trace::instant("cache.invalid");
+                    leo_obs::timeline::instant("cache.invalid");
                 }
             }
         }

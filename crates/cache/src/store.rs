@@ -252,13 +252,13 @@ impl SnapshotStore {
             Ok(b) => b,
             Err(e) if e.kind() == ErrorKind::NotFound => {
                 leo_obs::metrics::counter_add("cache.miss", 1);
-                leo_trace::instant("cache.miss");
+                leo_obs::timeline::instant("cache.miss");
                 return None;
             }
             Err(e) => {
                 leo_obs::log_warn!("cache: cannot read {}: {e}; regenerating", path.display());
                 leo_obs::metrics::counter_add("cache.miss", 1);
-                leo_trace::instant("cache.miss");
+                leo_obs::timeline::instant("cache.miss");
                 return None;
             }
         };
@@ -277,15 +277,15 @@ impl SnapshotStore {
             );
             leo_obs::metrics::counter_add("cache.invalid", 1);
             leo_obs::metrics::counter_add("cache.miss", 1);
-            leo_trace::instant("cache.invalid");
-            leo_trace::instant("cache.miss");
+            leo_obs::timeline::instant("cache.invalid");
+            leo_obs::timeline::instant("cache.miss");
             return None;
         }
         match decode_container_span(schema, key, &bytes) {
             Ok((start, end)) => {
                 leo_obs::metrics::counter_add("cache.hit", 1);
                 leo_obs::metrics::counter_add("cache.bytes_read", (end - start) as u64);
-                leo_trace::instant("cache.hit");
+                leo_obs::timeline::instant("cache.hit");
                 Some(LoadedPayload { bytes, start, end })
             }
             Err(why) => {
@@ -295,8 +295,8 @@ impl SnapshotStore {
                 );
                 leo_obs::metrics::counter_add("cache.invalid", 1);
                 leo_obs::metrics::counter_add("cache.miss", 1);
-                leo_trace::instant("cache.invalid");
-                leo_trace::instant("cache.miss");
+                leo_obs::timeline::instant("cache.invalid");
+                leo_obs::timeline::instant("cache.miss");
                 None
             }
         }

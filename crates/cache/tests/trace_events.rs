@@ -1,18 +1,20 @@
 //! Cache events on the timeline: a corrupt snapshot must surface as a
 //! `cache.invalid` instant *followed by* the regeneration span — the
 //! exact sequence ISSUE/DESIGN promise `--trace` users they will see
-//! in Perfetto. Integration test so the recorder state is this
-//! process's alone.
+//! in Perfetto. The loads run in their own scope with a timeline, so
+//! the events asserted on are this test's alone.
 
 use leo_cache::snapshot::{dataset_key, DatasetCache, DATASET_KIND};
 use leo_demand::dataset::SynthConfig;
-use leo_trace::EventKind;
+use leo_obs::scope::ObsScope;
+use leo_obs::timeline::EventKind;
 
 #[test]
 fn corrupt_snapshot_marks_invalid_then_regenerates() {
     leo_obs::set_enabled(true);
-    leo_trace::set_enabled(true);
-    leo_trace::reset();
+    let scope = ObsScope::new();
+    scope.enable_timeline();
+    let guard = scope.enter();
 
     let dir = std::env::temp_dir().join(format!("leo_cache_trace_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -29,10 +31,11 @@ fn corrupt_snapshot_marks_invalid_then_regenerates() {
 
     // A unique marker so the assertions below only look at events this
     // load recorded, not the cold generation's.
-    leo_trace::instant("t_trace.marker");
+    leo_obs::timeline::instant("t_trace.marker");
     let _ = cache.load_or_generate(&cfg);
+    drop(guard);
 
-    let lanes = leo_trace::snapshot();
+    let lanes = scope.snapshot().timeline;
     let lane = lanes
         .iter()
         .find(|l| l.events.iter().any(|e| e.name == "t_trace.marker"))

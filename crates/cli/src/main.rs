@@ -466,8 +466,7 @@ fn main() {
     leo_parallel::pool::prewarm(leo_parallel::effective_threads());
     if trace.is_some() {
         if leo_obs::enabled() {
-            leo_trace::set_enabled(true);
-            leo_trace::reset();
+            leo_obs::scope::ObsScope::current().enable_timeline();
         } else {
             leo_obs::log_warn!("--trace ignored: observability is off (DIVIDE_OBS)");
             trace = None;
@@ -622,9 +621,10 @@ fn main() {
     if let Some(dest) = trace {
         let chrome = dest.unwrap_or_else(|| out.join("trace.json"));
         let folded = chrome.with_extension("folded");
+        let capture = leo_obs::scope::ObsScope::current().snapshot();
         for (path, result) in [
-            (&chrome, leo_trace::export::write_chrome(&chrome)),
-            (&folded, leo_trace::export::write_folded(&folded)),
+            (&chrome, leo_trace::write_chrome(&chrome, &capture)),
+            (&folded, leo_trace::write_folded(&folded, &capture)),
         ] {
             match result {
                 Ok(()) => leo_obs::log_info!("wrote {}", path.display()),

@@ -27,11 +27,11 @@ use crate::geography;
 use crate::income::assign_county_incomes;
 use leo_geomath::LatLng;
 use leo_hexgrid::{CellId, GeoHexGrid, STARLINK_RESOLUTION};
-use leo_parallel::{mix64, par_map, Memo};
+use leo_parallel::{mix64, par_map};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Configuration for dataset synthesis.
 #[derive(Debug, Clone)]
@@ -237,7 +237,7 @@ pub struct BroadbandDataset {
     /// first use. The Fig 2 sweep binary-searches this vector at every
     /// grid point; recomputing the 20k-element sort per call dominated
     /// the sweep's profile.
-    sorted: Memo<Vec<u64>>,
+    sorted: OnceLock<Arc<Vec<u64>>>,
 }
 
 impl BroadbandDataset {
@@ -260,7 +260,7 @@ impl BroadbandDataset {
             us_cell_count,
             counties,
             total_locations,
-            sorted: Memo::new(),
+            sorted: OnceLock::new(),
         }
     }
 
@@ -284,7 +284,7 @@ impl BroadbandDataset {
             us_cell_count,
             counties,
             total_locations,
-            sorted: Memo::new(),
+            sorted: OnceLock::new(),
         }
     }
 
@@ -470,11 +470,12 @@ impl BroadbandDataset {
     /// Computed once and cached; the returned `Arc` is shared by every
     /// caller (coverage sweep, tail curves, demand stats).
     pub fn sorted_counts(&self) -> Arc<Vec<u64>> {
-        self.sorted.get_or_init(|| {
+        let sorted = self.sorted.get_or_init(|| {
             let mut v = self.cols.locations.clone();
             v.sort_unstable();
-            v
-        })
+            Arc::new(v)
+        });
+        Arc::clone(sorted)
     }
 
     /// Seeds the sorted-counts cache with an already-sorted vector
@@ -485,7 +486,7 @@ impl BroadbandDataset {
     pub fn prime_sorted_counts(&self, sorted: Vec<u64>) {
         debug_assert_eq!(sorted.len(), self.cells.len());
         debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-        self.sorted.get_or_init(|| sorted);
+        let _ = self.sorted.set(Arc::new(sorted));
     }
 
     /// The cell with the most un(der)served locations.

@@ -4,7 +4,7 @@
 //! [`span`]s, a [`metrics`] registry (counters, gauges, fixed-bucket
 //! histograms), handle-based [`scope`] contexts that own every
 //! registry (with a process-default scope backing the free-function
-//! API), JSON [`manifest`] emission for reproducible runs, the leveled
+//! API) and optionally an event [`timeline`], JSON [`manifest`] emission for reproducible runs, the leveled
 //! stderr [`log`]ger behind the `divide` CLI, the opt-in [`progress`]
 //! line it prints per pipeline stage, process [`resource`] telemetry
 //! (allocator hook + RSS sampling), and the append-only run-history
@@ -42,6 +42,7 @@ pub mod progress;
 pub mod resource;
 pub mod scope;
 pub mod span;
+pub mod timeline;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -74,13 +75,15 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
 }
 
-/// Clears every observability registry (spans and metrics) of the
-/// calling thread's current scope. Runs that reuse one process for
-/// several measured phases call this between phases; the CLI calls it
-/// once at startup so a manifest only covers its own invocation.
+/// Clears every observability registry (spans, metrics and timeline)
+/// of the calling thread's current scope, re-basing the timeline's
+/// epoch. Runs that reuse one process for several measured phases call
+/// this between phases; the CLI calls it once at startup so a manifest
+/// only covers its own invocation.
 pub fn reset() {
     span::reset();
     metrics::reset();
+    scope::reset_timeline();
 }
 
 /// Opens a timing span and returns its RAII guard; the span ends when

@@ -27,15 +27,20 @@
 //! a scope, run a closure inside it, and get back a [`Capture`] —
 //! a point-in-time snapshot of everything the closure recorded,
 //! isolated from every other scope in the process.
+//!
+//! A scope may also keep a [`crate::timeline`] of individual events
+//! ([`ObsScope::enable_timeline`]); the capture then carries it too.
 
 use crate::metrics::{Histogram, MetricsSnapshot};
 use crate::span::{SpanAllocStats, SpanStats};
+use crate::timeline::{Event, EventKind, Lane, LaneSnapshot, Timeline};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
 use std::collections::BTreeMap;
 use std::hash::BuildHasher;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// Number of counter shards per scope. Counter updates hash the
 /// calling thread onto one shard, so N pool workers bumping the same
@@ -107,6 +112,9 @@ pub struct StageParallel {
 struct ScopeInner {
     reg: Mutex<Registries>,
     counters: [Mutex<BTreeMap<String, u64>>; COUNTER_SHARDS],
+    /// The optional event buffer; set once by
+    /// [`ObsScope::enable_timeline`].
+    timeline: OnceLock<Mutex<Timeline>>,
 }
 
 /// A handle to one isolated set of observability registries. Clones
@@ -229,6 +237,14 @@ pub(crate) fn reset_spans() {
     reg.span_allocs.clear();
 }
 
+/// Empties the current scope's timeline, if it keeps one, and moves
+/// its epoch to now (the timeline half of [`crate::reset`]).
+pub(crate) fn reset_timeline() {
+    if let Some(timeline) = current_scope().timeline() {
+        *timeline.lock() = Timeline::new();
+    }
+}
+
 /// Pushed-span bookkeeping returned by [`push_span`].
 pub(crate) struct PushedSpan {
     /// The full path the span records under.
@@ -290,8 +306,29 @@ impl ObsScope {
             inner: Arc::new(ScopeInner {
                 reg: Mutex::new(Registries::default()),
                 counters: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
+                timeline: OnceLock::new(),
             }),
         }
+    }
+
+    /// The scope the calling thread currently records into (the
+    /// process-default scope outside any entered scope).
+    pub fn current() -> ObsScope {
+        current_scope()
+    }
+
+    /// Makes this scope keep a [`crate::timeline`] from now on: span
+    /// boundaries, pool chunks and [`crate::timeline::instant`]s are
+    /// recorded as individual events, stamped from now. Idempotent.
+    pub fn enable_timeline(&self) {
+        self.inner
+            .timeline
+            .get_or_init(|| Mutex::new(Timeline::new()));
+    }
+
+    /// The scope's timeline, if [`ObsScope::enable_timeline`] ran.
+    pub(crate) fn timeline(&self) -> Option<&Mutex<Timeline>> {
+        self.inner.timeline.get()
     }
 
     /// Makes this scope current on the calling thread until the guard
@@ -341,6 +378,10 @@ impl ObsScope {
                 histograms: reg.histograms.clone(),
             },
             parallel: reg.parallel.clone(),
+            timeline: self
+                .timeline()
+                .map(|t| t.lock().snapshot())
+                .unwrap_or_default(),
         }
     }
 }
@@ -385,6 +426,38 @@ impl ObsContext {
     /// The span path chunk work should nest under, if any.
     pub fn parent(&self) -> Option<&str> {
         self.inner.as_ref().and_then(|i| i.parent.as_deref())
+    }
+
+    /// Records one completed pool chunk — items `[lo, hi)`, busy from
+    /// `start` to `end` — as a complete event on lane `worker-<worker>`
+    /// of the captured scope's timeline, under the captured parent
+    /// path. A no-op when the context is inert or the scope keeps no
+    /// timeline.
+    pub fn record_chunk(
+        &self,
+        worker: usize,
+        name: &str,
+        start: Instant,
+        end: Instant,
+        lo: usize,
+        hi: usize,
+    ) {
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        if let Some(timeline) = inner.scope.timeline() {
+            let dur_ns = end.saturating_duration_since(start).as_nanos() as u64;
+            let event = Event {
+                args: vec![
+                    ("chunk", worker as u64),
+                    ("lo", lo as u64),
+                    ("hi", hi as u64),
+                ],
+                parent: inner.parent.clone(),
+                ..Event::new(name, EventKind::Complete { dur_ns })
+            };
+            timeline.lock().push(Lane::Worker(worker), start, event);
+        }
     }
 
     /// Installs the context on the executing thread for the duration
@@ -498,6 +571,9 @@ pub struct Capture {
     pub metrics: MetricsSnapshot,
     /// Attribution root → parallel stats.
     pub parallel: BTreeMap<String, StageParallel>,
+    /// The scope's timeline lanes in export order (`main`, `mem`,
+    /// `worker-0..`); empty unless the scope kept a timeline.
+    pub timeline: Vec<LaneSnapshot>,
 }
 
 impl Capture {

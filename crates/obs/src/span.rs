@@ -14,52 +14,17 @@
 //! nest under the owning `stage.*` span instead of becoming orphan
 //! roots. Threads outside any scope record into the process-default
 //! scope, which preserves the historical global-registry behaviour.
+//! When that scope keeps a [`crate::timeline`], each span boundary is
+//! also pushed there with the same `Instant` the registry times with.
 //!
 //! Everything is a no-op while [`crate::enabled`] is false; the spans
 //! only ever feed the run manifest, never the computation (the
 //! determinism contract in the crate docs).
 
 use crate::scope;
-use parking_lot::Mutex;
+use crate::timeline::{self, EventKind};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
-
-/// Which boundary of a span's lifetime a [`SpanSink`] call reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanPhase {
-    /// The span just opened; the `Instant` is its start.
-    Begin,
-    /// The span just closed; the `Instant` is its end.
-    End,
-}
-
-/// A span sink observes every span boundary with the span's *leaf*
-/// name and the **same** `Instant` the registry times with — a
-/// downstream timeline (leo-trace) therefore agrees with [`SpanStats`]
-/// totals to the nanosecond. A plain `fn` pointer: sinks must be
-/// global and capture nothing.
-pub type SpanSink = fn(SpanPhase, &str, Instant);
-
-static SINK: Mutex<Option<SpanSink>> = Mutex::new(None);
-/// Fast-path flag mirroring `SINK.is_some()`, so the overwhelmingly
-/// common no-sink case costs one relaxed load instead of a lock.
-static SINK_SET: AtomicBool = AtomicBool::new(false);
-
-/// Installs (`Some`) or removes (`None`) the process-wide span sink.
-pub fn set_sink(sink: Option<SpanSink>) {
-    *SINK.lock() = sink;
-    SINK_SET.store(sink.is_some(), Ordering::Relaxed);
-}
-
-fn notify_sink(phase: SpanPhase, leaf: &str, at: Instant) {
-    if !SINK_SET.load(Ordering::Relaxed) {
-        return;
-    }
-    if let Some(sink) = *SINK.lock() {
-        sink(phase, leaf, at);
-    }
-}
 
 /// Accumulated statistics of one span path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,7 +119,7 @@ pub fn enter(name: &str) -> SpanGuard {
     // timestamp so it never inflates the span's own measurement.
     crate::progress::on_span_begin(&pushed.path);
     let start = Instant::now();
-    notify_sink(SpanPhase::Begin, name, start);
+    timeline::span_boundary(EventKind::Begin, name, start);
     SpanGuard {
         path: Some(pushed.path),
         start,
@@ -168,7 +133,7 @@ impl Drop for SpanGuard {
             let end = Instant::now();
             let ns = end.saturating_duration_since(self.start).as_nanos() as u64;
             let leaf = path.rsplit('/').next().unwrap_or(&path);
-            notify_sink(SpanPhase::End, leaf, end);
+            timeline::span_boundary(EventKind::End, leaf, end);
             scope::pop_span();
             // Read the allocator outside the registry lock, then fold
             // timing and heap stats in under a single lock hold (the
@@ -222,6 +187,7 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
 
     /// Spans under a unique root so parallel tests cannot collide.
     fn stats_under(root: &str) -> BTreeMap<String, SpanStats> {
@@ -270,43 +236,6 @@ mod tests {
         }
         crate::set_enabled(true);
         assert_eq!(stats_under("t_off.span").len(), before);
-    }
-
-    /// A capture buffer for the sink test; `SpanSink` is a plain fn
-    /// pointer, so the sink writes into a static instead of a closure.
-    static SINK_LOG: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
-    fn capture_sink(phase: SpanPhase, leaf: &str, _at: Instant) {
-        SINK_LOG.lock().push(format!("{phase:?}:{leaf}"));
-    }
-
-    #[test]
-    fn sink_sees_span_boundaries_with_leaf_names() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(true);
-        set_sink(Some(capture_sink));
-        SINK_LOG.lock().clear();
-        {
-            let _outer = enter("t_sinkspan.outer");
-            let _inner = enter("child");
-        }
-        set_sink(None);
-        let log = SINK_LOG.lock().clone();
-        assert_eq!(
-            log,
-            vec![
-                "Begin:t_sinkspan.outer",
-                "Begin:child",
-                "End:child",
-                "End:t_sinkspan.outer",
-            ]
-        );
-        // With the sink removed, boundaries go nowhere.
-        SINK_LOG.lock().clear();
-        {
-            let _s = enter("t_sinkspan.after");
-        }
-        assert!(SINK_LOG.lock().is_empty());
     }
 
     /// A deterministic fake allocator for hook tests: `read` advances

@@ -15,9 +15,7 @@
 //! * [`par_map`] assigns contiguous index chunks to workers and
 //!   reassembles results **in input order**; each element's value
 //!   depends only on the element (callers derive per-element RNG
-//!   streams via [`mix64`] instead of sharing one sequential stream);
-//! * [`Memo`] caches a value computed once; racing initializers both
-//!   compute the same deterministic value, and one wins.
+//!   streams via [`mix64`] instead of sharing one sequential stream.
 //!
 //! ## Execution model (the [`pool`] module)
 //!
@@ -58,7 +56,7 @@
 //! [`std::thread::available_parallelism`].
 //!
 //! Every pooled fan-out reports to the `leo-obs` metrics registry
-//! (chunk counts, per-worker busy/idle nanoseconds, memo hit/miss)
+//! (chunk counts, per-worker busy/idle nanoseconds)
 //! under the `parallel.*` namespace — recorded once per primitive
 //! call, never per item, and dropped entirely when observability is
 //! off. Serial executions (one worker, single-item input, or
@@ -74,9 +72,9 @@
 //! dispatching span. After the join the fan-out is attributed to the
 //! caller's owning top-level span (`stage.*` in the pipeline) via
 //! `attribute_fanout`, which the manifest renders as the per-stage
-//! `parallel` section. When the `leo-trace` timeline recorder is on,
-//! each completed chunk additionally lands as one complete event on
-//! its worker-index lane (chunk index, item range, busy duration,
+//! `parallel` section. When the owning scope keeps a timeline
+//! (`--trace`), each completed chunk additionally lands there, through
+//! the same context, as one complete event on its worker-index lane (chunk index, item range, busy duration,
 //! owning span path), so `--trace` shows the fan-out shape per worker
 //! and folded stacks telescope worker time under the owning stage.
 //! Metrics and trace events feed the run manifest and trace export
@@ -88,10 +86,9 @@
 
 pub mod pool;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Records one pooled fan-out's worker stats into the `leo-obs`
@@ -197,7 +194,7 @@ pub fn effective_threads() -> usize {
 /// Default minimum estimated per-chunk duration that justifies
 /// dispatching to the pool. Dispatch costs single-digit microseconds
 /// per chunk; at 100 µs of work per chunk that overhead is noise,
-/// while the sliver-sized fan-outs visible in the `leo-trace` worker
+/// while the sliver-sized fan-outs visible in the `--trace` worker
 /// lanes (tens of microseconds total) stay serial.
 const DEFAULT_SERIAL_THRESHOLD_NS: u64 = 100_000;
 
@@ -348,9 +345,8 @@ where
     }
     let base = prefix.len();
     let obs = leo_obs::enabled();
-    let tracing = leo_trace::enabled();
     // Capture the caller's scope and innermost span path so chunk
-    // bodies (and their trace events) attribute under the owning
+    // bodies (and their timeline events) attribute under the owning
     // `stage.*` span on whichever thread they execute; inert and free
     // when observability is off.
     let ctx = leo_obs::scope::ObsContext::current();
@@ -370,9 +366,7 @@ where
             .map(|(k, x)| f(lo + k, x))
             .collect();
         let w1 = Instant::now();
-        if tracing {
-            leo_trace::worker_chunk(w, "parallel.par_map", ctx.parent(), w0, w1, lo, hi);
-        }
+        ctx.record_chunk(w, "parallel.par_map", w0, w1, lo, hi);
         *slots[w].lock() = Some((out, w1.saturating_duration_since(w0).as_nanos() as u64));
     });
     let mut out = prefix;
@@ -392,70 +386,6 @@ where
         );
     }
     out
-}
-
-/// A lazily-initialized, thread-safe memo cell.
-///
-/// Backs derived dataset views (for example the sorted per-cell count
-/// vector the Fig 2/Fig 3 paths binary-search) so repeated sweeps stop
-/// recomputing them. The cached value is shared via `Arc`; callers
-/// hold it across long computations without keeping any lock.
-pub struct Memo<T> {
-    slot: RwLock<Option<Arc<T>>>,
-}
-
-impl<T> Default for Memo<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Memo<T> {
-    /// Creates an empty memo.
-    pub const fn new() -> Self {
-        Memo {
-            slot: RwLock::new(None),
-        }
-    }
-
-    /// Returns the cached value, computing it with `init` on first
-    /// use. If two threads race the initializer, both compute the same
-    /// deterministic value and one result wins; `init` must therefore
-    /// be pure (every use in this workspace is).
-    pub fn get_or_init(&self, init: impl FnOnce() -> T) -> Arc<T> {
-        if let Some(v) = self.slot.read().as_ref() {
-            if leo_obs::enabled() {
-                leo_obs::metrics::counter_add("parallel.memo_hits", 1);
-            }
-            return Arc::clone(v);
-        }
-        if leo_obs::enabled() {
-            leo_obs::metrics::counter_add("parallel.memo_misses", 1);
-        }
-        let computed = Arc::new(init());
-        let mut slot = self.slot.write();
-        match slot.as_ref() {
-            Some(existing) => Arc::clone(existing),
-            None => {
-                *slot = Some(Arc::clone(&computed));
-                computed
-            }
-        }
-    }
-
-    /// The cached value, if already initialized.
-    pub fn get(&self) -> Option<Arc<T>> {
-        self.slot.read().as_ref().map(Arc::clone)
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for Memo<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.get() {
-            Some(v) => f.debug_tuple("Memo").field(&v).finish(),
-            None => f.write_str("Memo(<uninit>)"),
-        }
-    }
 }
 
 /// Mixes a seed with a salt into an independent 64-bit stream seed
@@ -504,24 +434,6 @@ mod tests {
             assert_eq!(serial, pooled, "threads={n} pooled");
             assert_eq!(serial, probed, "threads={n} probed");
         }
-    }
-
-    #[test]
-    fn memo_computes_once_and_shares() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let calls = AtomicU32::new(0);
-        let memo: Memo<Vec<u64>> = Memo::new();
-        let a = memo.get_or_init(|| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            vec![1, 2, 3]
-        });
-        let b = memo.get_or_init(|| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            unreachable!("second init must not run")
-        });
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-        assert_eq!(memo.get().unwrap().len(), 3);
     }
 
     #[test]
@@ -706,20 +618,23 @@ mod tests {
     }
 
     #[test]
-    fn fanouts_record_worker_chunk_trace_events() {
+    fn fanouts_record_worker_chunk_timeline_events() {
         leo_obs::set_enabled(true);
-        leo_trace::set_enabled(true);
+        let scope = leo_obs::scope::ObsScope::new();
+        scope.enable_timeline();
         // 103 items over 4 workers → chunks (0,26) (26,52) (52,78)
-        // (78,103); a length no other test uses, so concurrent tests
-        // recording chunks cannot alias these ranges.
+        // (78,103).
         let items: Vec<u64> = (0..103).collect();
-        let _ = with_serial_threshold(0, || with_threads(4, || par_map(&items, |_, &x| x + 1)));
-        let lanes = leo_trace::snapshot();
+        {
+            let _g = scope.enter();
+            let _ = with_serial_threshold(0, || with_threads(4, || par_map(&items, |_, &x| x + 1)));
+        }
+        let lanes = scope.snapshot().timeline;
         let chunk_on = |label: &str, lo: u64, hi: u64| {
             lanes.iter().any(|lane| {
                 lane.label == label
                     && lane.events.iter().any(|e| {
-                        matches!(e.kind, leo_trace::EventKind::Complete { .. })
+                        matches!(e.kind, leo_obs::timeline::EventKind::Complete { .. })
                             && e.name == "parallel.par_map"
                             && e.args.contains(&("lo", lo))
                             && e.args.contains(&("hi", hi))
@@ -728,22 +643,9 @@ mod tests {
         };
         assert!(chunk_on("worker-0", 0, 26), "{lanes:?}");
         assert!(chunk_on("worker-3", 78, 103), "{lanes:?}");
-        leo_trace::set_enabled(false);
-        leo_trace::reset();
-    }
-
-    #[test]
-    fn memo_records_hits_and_misses() {
-        use leo_obs::metrics;
-        leo_obs::set_enabled(true);
-        let hits0 = metrics::counter_value("parallel.memo_hits");
-        let misses0 = metrics::counter_value("parallel.memo_misses");
-        let memo: Memo<u32> = Memo::new();
-        let _ = memo.get_or_init(|| 1);
-        let _ = memo.get_or_init(|| unreachable!());
-        let _ = memo.get_or_init(|| unreachable!());
-        assert!(metrics::counter_value("parallel.memo_misses") > misses0);
-        assert!(metrics::counter_value("parallel.memo_hits") >= hits0 + 2);
+        // Worker lanes export in ascending index order.
+        let labels: Vec<&str> = lanes.iter().map(|l| l.label.as_str()).collect();
+        assert_eq!(labels, ["worker-0", "worker-1", "worker-2", "worker-3"]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! Chunk `i` of a fan-out always runs on pool worker `i - 1` (each
 //! worker has its own mailbox). The static assignment keeps the
-//! `leo-trace` `worker-<i>` lanes pinned to real, reused OS threads
+//! timeline `worker-<i>` lanes pinned to real, reused OS threads
 //! (lane `worker-0` is the calling thread), and makes reuse assertable:
 //! consecutive fan-outs at the same width observe the same
 //! [`std::thread::ThreadId`]s.
@@ -83,7 +83,7 @@ pub struct StallReport {
 }
 
 impl StallReport {
-    /// The `leo-trace` lane names of the stalled chunks (chunk `i`
+    /// The timeline lane names of the stalled chunks (chunk `i`
     /// executes on lane `worker-<i>`; `worker-0` is the caller).
     pub fn lanes(&self) -> Vec<String> {
         self.stalled_chunks

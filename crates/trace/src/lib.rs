@@ -1,603 +1,315 @@
 //! # leo-trace
 //!
-//! The workspace's timeline recorder: where `leo-obs` answers *how
-//! much* time each span path took in total, this crate answers *when*
-//! each span ran and on *which* lane. Events accumulate in per-lane
-//! buffers — one lane per recording thread, plus one explicit lane per
-//! `leo-parallel` worker index — and are exported on run exit as Chrome
-//! Trace Event JSON (Perfetto / `chrome://tracing`) and folded
-//! flamegraph stacks (see [`export`]).
+//! Timeline exporters. Recording lives in `leo-obs`: a scope that
+//! keeps a timeline (`ObsScope::enable_timeline`, which the CLI calls
+//! on the default scope for `--trace`) collects span boundaries, worker
+//! chunks, cache instants and memory samples, and its
+//! [`Capture::timeline`] carries them out. This crate renders a
+//! capture, as pure functions of it, in two formats. Both go through
+//! `leo_obs::json`; there is no serde anywhere in the workspace.
 //!
-//! ## Feeding the recorder
+//! ## `trace.json`: Chrome Trace Event format
 //!
-//! Nothing in the pipeline calls [`begin`]/[`end`] directly: enabling
-//! tracing installs a span sink into `leo_obs::span`, so every existing
-//! `span!` automatically lands on the timeline, carrying the *same*
-//! `Instant`s the span registry times with — folded stack totals
-//! therefore agree with `SpanStats` totals to the nanosecond.
-//! `leo-parallel` records one [`EventKind::Complete`] per worker chunk
-//! (chunk index, item range, busy duration) on that worker's lane, and
-//! `leo-cache` marks hits/misses/invalidations as [`instant`] events.
+//! The JSON-object form (`{"traceEvents": [...]}`) with one process
+//! (`pid` 1) and one Chrome thread per lane (`tid` = lane index, named
+//! via `thread_name` metadata events). Lanes come in a fixed order:
+//! `main`, `mem`, then `worker-0..worker-N-1`. Span boundaries are
+//! `B`/`E` duration events, cache markers are thread-scoped `i`
+//! instants, worker chunks are `X` complete events carrying
+//! `chunk`/`lo`/`hi` args, and memory samples on the `mem` lane are
+//! `C` counter events (`heap_bytes`/`rss_kb`) that Perfetto draws as
+//! counter tracks. Timestamps are microseconds since the timeline's
+//! epoch, as the format requires; load the file in
+//! <https://ui.perfetto.dev> or `chrome://tracing` unmodified.
 //!
-//! ## Switching it on
+//! ## `trace.folded`: folded stacks
 //!
-//! Off by default. `DIVIDE_TRACE` (anything but empty/`0`/`off`/
-//! `false`) or [`set_enabled`] turns the recorder on, but events are
-//! only ever recorded while `leo_obs::enabled()` also holds —
-//! `DIVIDE_OBS=off` silences tracing along with everything else. While
-//! disabled, recording entry points return before touching any lane:
-//! no buffers are allocated, no events retained (asserted by
-//! `tests/trace.rs` through [`lane_count`]/[`event_count`]).
-//!
-//! ## Determinism contract
-//!
-//! Identical to `leo-obs`'s: the recorder only *observes*. Buffers are
-//! read back exclusively by the exporters; artifacts stay byte-identical
-//! with tracing on or off at any thread count (`tests/determinism.rs`).
+//! One `lane;frame;frame <nanoseconds>` line per distinct stack, the
+//! input format of `flamegraph.pl` and speedscope. Durations are
+//! *exclusive* (self time). Exclusive segments telescope, so the sum
+//! over a stage's subtree equals the span registry's inclusive
+//! `total_ns` for that stage exactly. `scripts/tier1.sh` cross-checks
+//! the two against the run manifest on the main lane only. Worker-lane
+//! chunks carry their owning `stage.*` span path as intermediate
+//! frames, so worker busy time telescopes under the dispatching stage
+//! in a flamegraph rather than floating as lane-level orphans.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod export;
+use leo_obs::json::Json;
+use leo_obs::scope::Capture;
+use leo_obs::timeline::{Event, EventKind};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::path::Path;
 
-use parking_lot::Mutex;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
-
-/// What one timeline event marks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
-    /// A span opened (Chrome phase `B`).
-    Begin,
-    /// A span closed (Chrome phase `E`).
-    End,
-    /// A point-in-time marker, e.g. a cache hit (Chrome phase `i`).
-    Instant,
-    /// A self-contained duration, e.g. one worker chunk (Chrome
-    /// phase `X`).
-    Complete {
-        /// The event's duration in nanoseconds.
-        dur_ns: u64,
-    },
-    /// A sampled counter value, e.g. live heap bytes (Chrome phase
-    /// `C`). The sample's series values ride in [`Event::args`];
-    /// Perfetto renders them as a stacked counter track.
-    Counter,
+fn ts_us(ns: u64) -> Json {
+    Json::Num(ns as f64 / 1000.0)
 }
 
-/// One recorded timeline event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    /// Nanoseconds since the trace epoch (monotonic within a lane).
-    pub ts_ns: u64,
-    /// Event name (span leaf, counter name, or primitive name).
-    pub name: String,
-    /// What the event marks.
-    pub kind: EventKind,
-    /// Small integer annotations (chunk index, item range, ...).
-    pub args: Vec<(&'static str, u64)>,
-    /// Owning span path for events recorded off their owner's lane —
-    /// worker chunks carry the dispatching stage's path here, so the
-    /// folded-stack exporter can telescope `worker-N` frames under
-    /// `stage.*` instead of leaving them orphaned.
-    pub parent: Option<String>,
-}
-
-/// A copy of one lane: its label and every event recorded so far.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaneSnapshot {
-    /// Human-readable lane label (`main`, `worker-3`, `thread-7`).
-    pub label: String,
-    /// The lane's events in timestamp order (see [`snapshot`]).
-    pub events: Vec<Event>,
-}
-
-type Buf = Arc<Mutex<Vec<Event>>>;
-
-struct Lane {
-    label: String,
-    buf: Buf,
-}
-
-/// Every lane ever registered this generation, in registration order —
-/// the lane's index is its Chrome `tid`.
-static LANES: Mutex<Vec<Lane>> = Mutex::new(Vec::new());
-
-/// Worker-index → lane buffer map (generation-tagged so [`reset`]
-/// invalidates it without touching other threads' caches).
-static WORKERS: Mutex<(u64, Vec<Option<Buf>>)> = Mutex::new((0, Vec::new()));
-
-/// The dedicated `mem` lane for counter samples (generation-tagged
-/// like [`WORKERS`]). One lane regardless of which thread samples, so
-/// Perfetto shows a single continuous memory track.
-static MEM_LANE: Mutex<(u64, Option<Buf>)> = Mutex::new((0, None));
-
-/// Bumped by [`reset`]; thread-local lane caches compare against it.
-static GENERATION: AtomicU64 = AtomicU64::new(0);
-
-/// The instant `ts_ns` counts from; set when tracing first turns on.
-static EPOCH: Mutex<Option<Instant>> = Mutex::new(None);
-
-/// 0 = unresolved (consult `DIVIDE_TRACE`), 1 = on, 2 = off.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
-
-thread_local! {
-    /// This thread's lane buffer, tagged with the generation it was
-    /// registered under.
-    static CURRENT: RefCell<Option<(u64, Buf)>> = const { RefCell::new(None) };
-}
-
-fn tracing_requested() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = match std::env::var("DIVIDE_TRACE") {
-                Err(_) => false,
-                Ok(v) => {
-                    let v = v.trim().to_ascii_lowercase();
-                    !(v.is_empty() || v == "0" || v == "off" || v == "false")
-                }
-            };
-            set_enabled(on);
-            on
-        }
-    }
-}
-
-/// Whether events are being recorded right now: tracing requested
-/// (`DIVIDE_TRACE` / [`set_enabled`]) *and* observability enabled —
-/// `DIVIDE_OBS=off` always wins.
-pub fn enabled() -> bool {
-    tracing_requested() && leo_obs::enabled()
-}
-
-/// Turns the recorder on or off for the whole process, overriding
-/// `DIVIDE_TRACE`. Turning it on installs the `leo-obs` span sink so
-/// every span lands on the timeline from then on.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-    if on {
-        ensure_epoch();
-        leo_obs::span::set_sink(Some(span_sink));
-    }
-}
-
-/// The span sink installed into `leo_obs::span`: forwards each span
-/// boundary, with the registry's own timestamp, onto the current
-/// thread's lane.
-fn span_sink(phase: leo_obs::span::SpanPhase, name: &str, at: Instant) {
-    match phase {
-        leo_obs::span::SpanPhase::Begin => begin(name, at),
-        leo_obs::span::SpanPhase::End => end(name, at),
-    }
-    // Span boundaries double as memory sampling points: frequent
-    // enough to draw a useful heap/RSS curve, rare enough (hundreds
-    // per run, never per data item) that the `/proc` read stays
-    // invisible next to the stages being traced.
-    sample_memory(at);
-}
-
-/// Emits heap/RSS counter samples onto the `mem` lane, timestamped
-/// `at`. The installed allocator hook is the master switch for memory
-/// telemetry: no hook (no tracking allocator, or `DIVIDE_ALLOC=off`)
-/// means no samples at all, RSS included.
-fn sample_memory(at: Instant) {
-    if !enabled() {
-        return;
-    }
-    let Some(hook) = leo_obs::resource::alloc_hook() else {
-        return;
+fn event_json(tid: usize, ev: &Event) -> Json {
+    let mut e = Json::obj()
+        .set("name", ev.name.as_str())
+        .set("pid", 1u64)
+        .set("tid", tid);
+    e = match ev.kind {
+        EventKind::Begin => e.set("ph", "B").set("ts", ts_us(ev.ts_ns)),
+        EventKind::End => e.set("ph", "E").set("ts", ts_us(ev.ts_ns)),
+        EventKind::Instant => e.set("ph", "i").set("s", "t").set("ts", ts_us(ev.ts_ns)),
+        EventKind::Complete { dur_ns } => e
+            .set("ph", "X")
+            .set("ts", ts_us(ev.ts_ns))
+            .set("dur", ts_us(dur_ns)),
+        EventKind::Counter => e.set("ph", "C").set("ts", ts_us(ev.ts_ns)),
     };
-    let reading = (hook.read)();
-    counter_at("heap_bytes", &[("bytes", reading.current_bytes)], at);
-    if let Some(rss) = leo_obs::resource::rss_kb() {
-        counter_at("rss_kb", &[("kb", rss.current_kb)], at);
+    if !ev.args.is_empty() || ev.parent.is_some() {
+        let mut args = Json::obj();
+        for &(k, v) in &ev.args {
+            args = args.set(k, v);
+        }
+        if let Some(parent) = &ev.parent {
+            args = args.set("parent", parent.as_str());
+        }
+        e = e.set("args", args);
     }
+    e
 }
 
-fn ensure_epoch() -> Instant {
-    *EPOCH.lock().get_or_insert_with(Instant::now)
+/// Renders `capture`'s timeline as a Chrome Trace Event document.
+pub fn chrome_trace(capture: &Capture) -> Json {
+    let lanes = &capture.timeline;
+    let mut events = vec![Json::obj()
+        .set("name", "process_name")
+        .set("ph", "M")
+        .set("pid", 1u64)
+        .set("tid", 0u64)
+        .set("args", Json::obj().set("name", "divide"))];
+    for (tid, lane) in lanes.iter().enumerate() {
+        events.push(
+            Json::obj()
+                .set("name", "thread_name")
+                .set("ph", "M")
+                .set("pid", 1u64)
+                .set("tid", tid)
+                .set("args", Json::obj().set("name", lane.label.as_str())),
+        );
+    }
+    for (tid, lane) in lanes.iter().enumerate() {
+        for ev in &lane.events {
+            events.push(event_json(tid, ev));
+        }
+    }
+    Json::obj()
+        .set("traceEvents", Json::Arr(events))
+        .set("displayTimeUnit", "ms")
 }
 
-fn ts_ns(at: Instant) -> u64 {
-    // Saturates to 0 for instants predating the epoch (a span already
-    // open when tracing turned on) instead of panicking.
-    at.checked_duration_since(ensure_epoch())
-        .map_or(0, |d| d.as_nanos() as u64)
-}
-
-/// Registers a new lane and returns its buffer. `None` labels the lane
-/// after the current thread (its name, or `thread-<index>`).
-fn register_lane(label: Option<String>) -> Buf {
-    let mut lanes = LANES.lock();
-    let label = label
-        .or_else(|| std::thread::current().name().map(str::to_string))
-        .unwrap_or_else(|| format!("thread-{}", lanes.len()));
-    let buf: Buf = Arc::new(Mutex::new(Vec::new()));
-    lanes.push(Lane {
-        label,
-        buf: Arc::clone(&buf),
-    });
-    buf
-}
-
-/// The calling thread's lane buffer, registering one on first use (and
-/// re-registering after a [`reset`]).
-fn current_buf() -> Buf {
-    let generation = GENERATION.load(Ordering::Relaxed);
-    CURRENT.with(|slot| {
-        if let Some((cached_gen, buf)) = slot.borrow().as_ref() {
-            if *cached_gen == generation {
-                return Arc::clone(buf);
+/// Renders `capture`'s timeline as folded flamegraph stacks
+/// (exclusive nanoseconds, sorted by stack string).
+pub fn folded_stacks(capture: &Capture) -> String {
+    let mut totals: BTreeMap<String, u64> = BTreeMap::new();
+    for lane in &capture.timeline {
+        let mut stack: Vec<String> = vec![lane.label.clone()];
+        // Timestamp since which the current stack has been the one
+        // running; only attributed while at least one span is open.
+        let mut since = 0u64;
+        for ev in &lane.events {
+            match ev.kind {
+                EventKind::Begin => {
+                    if stack.len() > 1 {
+                        *totals.entry(stack.join(";")).or_default() +=
+                            ev.ts_ns.saturating_sub(since);
+                    }
+                    stack.push(ev.name.clone());
+                    since = ev.ts_ns;
+                }
+                EventKind::End => {
+                    // An End with no open span (its Begin predates a
+                    // reset) is dropped rather than underflowing.
+                    if stack.len() > 1 {
+                        *totals.entry(stack.join(";")).or_default() +=
+                            ev.ts_ns.saturating_sub(since);
+                        stack.pop();
+                    }
+                    since = ev.ts_ns;
+                }
+                EventKind::Complete { dur_ns } => {
+                    // A chunk dispatched from inside a span carries
+                    // that span's path: render its frames between the
+                    // lane and the chunk name so worker time
+                    // telescopes under the owning `stage.*` subtree.
+                    let key = match &ev.parent {
+                        Some(parent) => {
+                            format!("{};{};{}", lane.label, parent.replace('/', ";"), ev.name)
+                        }
+                        None => format!("{};{}", lane.label, ev.name),
+                    };
+                    *totals.entry(key).or_default() += dur_ns;
+                }
+                // Counter samples carry values, not durations; they
+                // have no place on a flamegraph.
+                EventKind::Instant | EventKind::Counter => {}
             }
         }
-        let buf = register_lane(None);
-        *slot.borrow_mut() = Some((generation, Arc::clone(&buf)));
-        buf
-    })
-}
-
-/// The lane buffer of worker index `worker`. Worker lanes are keyed by
-/// *index*, not OS thread: `leo-parallel` spawns fresh scoped threads
-/// per fan-out, and per-thread lanes would explode into thousands of
-/// single-chunk rows.
-fn worker_buf(worker: usize) -> Buf {
-    let generation = GENERATION.load(Ordering::Relaxed);
-    let mut map = WORKERS.lock();
-    if map.0 != generation {
-        map.0 = generation;
-        map.1.clear();
     }
-    if map.1.len() <= worker {
-        map.1.resize(worker + 1, None);
+    let mut out = String::new();
+    for (stack, ns) in &totals {
+        let _ = writeln!(out, "{stack} {ns}");
     }
-    if let Some(buf) = &map.1[worker] {
-        return Arc::clone(buf);
-    }
-    let buf = register_lane(Some(format!("worker-{worker}")));
-    map.1[worker] = Some(Arc::clone(&buf));
-    buf
+    out
 }
 
-/// Records a span opening at `at` on this thread's lane.
-pub fn begin(name: &str, at: Instant) {
-    if !enabled() {
-        return;
-    }
-    let ts = ts_ns(at);
-    current_buf().lock().push(Event {
-        ts_ns: ts,
-        name: name.to_string(),
-        kind: EventKind::Begin,
-        args: Vec::new(),
-        parent: None,
-    });
+/// Writes [`chrome_trace`] to `path` (compact JSON: paper-scale
+/// traces stay small, but pretty-printing would triple the bytes).
+pub fn write_chrome(path: &Path, capture: &Capture) -> std::io::Result<()> {
+    let mut body = chrome_trace(capture).render();
+    body.push('\n');
+    leo_fault::safe_io::write_atomic(path, body.as_bytes())
 }
 
-/// Records a span closing at `at` on this thread's lane.
-pub fn end(name: &str, at: Instant) {
-    if !enabled() {
-        return;
-    }
-    let ts = ts_ns(at);
-    current_buf().lock().push(Event {
-        ts_ns: ts,
-        name: name.to_string(),
-        kind: EventKind::End,
-        args: Vec::new(),
-        parent: None,
-    });
-}
-
-/// The `mem` lane buffer, registered on first use per generation.
-fn mem_buf() -> Buf {
-    let generation = GENERATION.load(Ordering::Relaxed);
-    let mut slot = MEM_LANE.lock();
-    if slot.0 != generation {
-        slot.0 = generation;
-        slot.1 = None;
-    }
-    if let Some(buf) = &slot.1 {
-        return Arc::clone(buf);
-    }
-    let buf = register_lane(Some("mem".to_string()));
-    slot.1 = Some(Arc::clone(&buf));
-    buf
-}
-
-/// Records a counter sample — one or more `(series, value)` pairs
-/// under `name` — on the shared `mem` lane, timestamped `at`.
-pub fn counter_at(name: &str, series: &[(&'static str, u64)], at: Instant) {
-    if !enabled() {
-        return;
-    }
-    let ts = ts_ns(at);
-    mem_buf().lock().push(Event {
-        ts_ns: ts,
-        name: name.to_string(),
-        kind: EventKind::Counter,
-        args: series.to_vec(),
-        parent: None,
-    });
-}
-
-/// Records a counter sample timestamped now. See [`counter_at`].
-pub fn counter(name: &str, series: &[(&'static str, u64)]) {
-    counter_at(name, series, Instant::now());
-}
-
-/// Records a point-in-time marker (cache hit/miss/invalid, ...) on
-/// this thread's lane, timestamped now.
-pub fn instant(name: &str) {
-    if !enabled() {
-        return;
-    }
-    let ts = ts_ns(Instant::now());
-    current_buf().lock().push(Event {
-        ts_ns: ts,
-        name: name.to_string(),
-        kind: EventKind::Instant,
-        args: Vec::new(),
-        parent: None,
-    });
-}
-
-/// Records one completed worker chunk — `[lo, hi)` of a fan-out, busy
-/// from `start` to `end` — on the `worker-<index>` lane. `parent` is
-/// the dispatching caller's span path (`stage.fig2/fig2.sweep`):
-/// exports nest the chunk under those frames, so flamegraphs
-/// telescope through fan-outs instead of orphaning worker time.
-pub fn worker_chunk(
-    worker: usize,
-    name: &str,
-    parent: Option<&str>,
-    start: Instant,
-    end: Instant,
-    lo: usize,
-    hi: usize,
-) {
-    if !enabled() {
-        return;
-    }
-    let ts = ts_ns(start);
-    let dur_ns = end
-        .checked_duration_since(start)
-        .map_or(0, |d| d.as_nanos() as u64);
-    worker_buf(worker).lock().push(Event {
-        ts_ns: ts,
-        name: name.to_string(),
-        kind: EventKind::Complete { dur_ns },
-        args: vec![
-            ("chunk", worker as u64),
-            ("lo", lo as u64),
-            ("hi", hi as u64),
-        ],
-        parent: parent.map(str::to_string),
-    });
-}
-
-/// Number of lanes currently registered (zero while tracing is off —
-/// the disabled-path tests pin this).
-pub fn lane_count() -> usize {
-    LANES.lock().len()
-}
-
-/// Total events across every lane.
-pub fn event_count() -> usize {
-    LANES.lock().iter().map(|l| l.buf.lock().len()).sum()
-}
-
-/// A copy of every lane and its events, in lane-registration order.
-/// Each lane's events are sorted by timestamp (stably, so the
-/// recording order of same-instant events — a span's Begin before a
-/// nested Begin — survives): a lane keyed by worker *index* can be fed
-/// from different OS threads across fan-outs, whose push order is lock
-/// order, not time order.
-pub fn snapshot() -> Vec<LaneSnapshot> {
-    LANES
-        .lock()
-        .iter()
-        .map(|l| {
-            let mut events = l.buf.lock().clone();
-            events.sort_by_key(|e| e.ts_ns);
-            LaneSnapshot {
-                label: l.label.clone(),
-                events,
-            }
-        })
-        .collect()
-}
-
-/// Drops every lane and re-bases the trace epoch. The CLI calls this
-/// at startup so an export only covers its own invocation; call it
-/// outside any open span (an `End` without its `Begin` would land on a
-/// fresh lane).
-pub fn reset() {
-    GENERATION.fetch_add(1, Ordering::Relaxed);
-    LANES.lock().clear();
-    let mut map = WORKERS.lock();
-    map.0 = GENERATION.load(Ordering::Relaxed);
-    map.1.clear();
-    drop(map);
-    let mut mem = MEM_LANE.lock();
-    mem.0 = GENERATION.load(Ordering::Relaxed);
-    mem.1 = None;
-    drop(mem);
-    *EPOCH.lock() = Some(Instant::now());
-}
-
-/// One lock for every test in the crate (this module's and
-/// `export`'s) that flips the process-wide flags or reads the recorder.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// Writes [`folded_stacks`] to `path` (atomic tmp+rename, like every
+/// artifact writer).
+pub fn write_folded(path: &Path, capture: &Capture) -> std::io::Result<()> {
+    leo_fault::safe_io::write_atomic(path, folded_stacks(capture).as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leo_obs::timeline::LaneSnapshot;
 
-    #[test]
-    fn disabled_recorder_allocates_nothing() {
-        let _lock = test_lock();
-        leo_obs::set_enabled(true);
-        set_enabled(false);
-        reset();
-        begin("t.span", Instant::now());
-        end("t.span", Instant::now());
-        instant("t.marker");
-        worker_chunk(0, "t.chunk", None, Instant::now(), Instant::now(), 0, 8);
-        assert_eq!(lane_count(), 0);
-        assert_eq!(event_count(), 0);
-    }
-
-    #[test]
-    fn events_record_in_order_with_monotonic_timestamps() {
-        let _lock = test_lock();
-        leo_obs::set_enabled(true);
-        set_enabled(true);
-        reset();
-        let t0 = Instant::now();
-        begin("t.outer", t0);
-        instant("t.mark");
-        let t1 = Instant::now();
-        end("t.outer", t1);
-        worker_chunk(2, "t.chunk", Some("stage.t/outer"), t0, t1, 10, 20);
-        let lanes = snapshot();
-        assert_eq!(lanes.len(), 2, "{lanes:?}");
-        let own = &lanes[0];
-        assert_eq!(own.events.len(), 3);
-        assert_eq!(own.events[0].kind, EventKind::Begin);
-        assert_eq!(own.events[1].kind, EventKind::Instant);
-        assert_eq!(own.events[2].kind, EventKind::End);
-        assert!(own.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
-        let worker = &lanes[1];
-        assert_eq!(worker.label, "worker-2");
-        assert!(matches!(worker.events[0].kind, EventKind::Complete { .. }));
-        assert_eq!(
-            worker.events[0].args,
-            vec![("chunk", 2), ("lo", 10), ("hi", 20)]
-        );
-        set_enabled(false);
-        reset();
-    }
-
-    #[test]
-    fn obs_off_silences_tracing_even_when_requested() {
-        let _lock = test_lock();
-        set_enabled(true);
-        leo_obs::set_enabled(false);
-        reset();
-        begin("t.span", Instant::now());
-        instant("t.marker");
-        assert_eq!(lane_count(), 0);
-        assert_eq!(event_count(), 0);
-        leo_obs::set_enabled(true);
-        set_enabled(false);
-    }
-
-    #[test]
-    fn spans_feed_the_timeline_through_the_sink() {
-        let _lock = test_lock();
-        leo_obs::set_enabled(true);
-        set_enabled(true);
-        reset();
-        {
-            let _span = leo_obs::span::enter("t_sink.outer");
-            let _inner = leo_obs::span::enter("inner");
-        }
-        let lanes = snapshot();
-        let events: Vec<&Event> = lanes.iter().flat_map(|l| &l.events).collect();
-        let names: Vec<(&str, &EventKind)> =
-            events.iter().map(|e| (e.name.as_str(), &e.kind)).collect();
-        assert_eq!(
-            names,
-            vec![
-                ("t_sink.outer", &EventKind::Begin),
-                ("inner", &EventKind::Begin),
-                ("inner", &EventKind::End),
-                ("t_sink.outer", &EventKind::End),
-            ]
-        );
-        set_enabled(false);
-        reset();
-    }
-
-    fn fake_read() -> leo_obs::resource::AllocReading {
-        leo_obs::resource::AllocReading {
-            alloc_calls: 1,
-            dealloc_calls: 0,
-            allocated_bytes: 2048,
-            current_bytes: 2048,
-            peak_bytes: 2048,
+    fn ev(us: u64, name: &str, kind: EventKind) -> Event {
+        Event {
+            ts_ns: us * 1000,
+            name: name.to_string(),
+            kind,
+            args: Vec::new(),
+            parent: None,
         }
     }
-    fn fake_rebase() -> u64 {
-        2048
+
+    fn chunk(us: u64, dur_us: u64, w: u64, lo: u64, hi: u64, parent: Option<&str>) -> Event {
+        Event {
+            args: vec![("chunk", w), ("lo", lo), ("hi", hi)],
+            parent: parent.map(str::to_string),
+            ..ev(
+                us,
+                "parallel.par_map",
+                EventKind::Complete {
+                    dur_ns: dur_us * 1000,
+                },
+            )
+        }
     }
-    fn fake_span_peak() -> u64 {
-        2048
+
+    fn lane(label: &str, events: Vec<Event>) -> LaneSnapshot {
+        LaneSnapshot {
+            label: label.to_string(),
+            events,
+        }
+    }
+
+    /// A small deterministic capture: outer(0..100µs) containing
+    /// inner(20..60µs), one instant, a heap sample, an unparented
+    /// worker chunk of 30µs plus a 20µs chunk owned by `outer`.
+    fn fixture() -> Capture {
+        let main = vec![
+            ev(0, "outer", EventKind::Begin),
+            ev(20, "inner", EventKind::Begin),
+            ev(60, "inner", EventKind::End),
+            ev(80, "cache.hit", EventKind::Instant),
+            ev(100, "outer", EventKind::End),
+        ];
+        let heap = Event {
+            args: vec![("bytes", 4096)],
+            ..ev(50, "heap_bytes", EventKind::Counter)
+        };
+        Capture {
+            timeline: vec![
+                lane("main", main),
+                lane("mem", vec![heap]),
+                lane("worker-0", vec![chunk(10, 30, 0, 0, 50, None)]),
+                lane("worker-1", vec![chunk(50, 20, 1, 50, 100, Some("outer"))]),
+            ],
+            ..Capture::default()
+        }
     }
 
     #[test]
-    fn span_boundaries_sample_memory_onto_the_mem_lane() {
-        let _lock = test_lock();
-        leo_obs::set_enabled(true);
-        set_enabled(true);
-        reset();
-        // Without a hook: spans alone, no mem lane.
-        {
-            let _span = leo_obs::span::enter("t_mem.unhooked");
+    fn chrome_trace_has_lanes_events_and_metadata() {
+        let rendered = chrome_trace(&fixture()).render();
+        // Object form with the traceEvents array.
+        assert!(rendered.starts_with("{\"traceEvents\":["));
+        // Thread-name metadata for every lane, tids in lane order.
+        assert!(rendered.contains("\"thread_name\""));
+        assert!(rendered.contains("\"worker-0\""));
+        for (tid, label) in ["main", "mem", "worker-0", "worker-1"].iter().enumerate() {
+            assert!(
+                rendered.contains(&format!("\"tid\":{tid},\"args\":{{\"name\":\"{label}\"}}")),
+                "{label} is not tid {tid}: {rendered}"
+            );
         }
-        assert!(!snapshot().iter().any(|l| l.label == "mem"));
-        leo_obs::resource::set_alloc_hook(Some(leo_obs::resource::AllocHook {
-            read: fake_read,
-            rebase_span_peak: fake_rebase,
-            span_peak: fake_span_peak,
-        }));
-        {
-            let _span = leo_obs::span::enter("t_mem.hooked");
+        // B/E pair for the outer span, X for the chunk, i for the hit.
+        assert!(rendered.contains("\"ph\":\"B\""));
+        assert!(rendered.contains("\"ph\":\"E\""));
+        assert!(rendered.contains("\"ph\":\"X\""));
+        assert!(rendered.contains("\"ph\":\"i\""));
+        // Chunk args survive, in µs-land the chunk lasts 30.
+        assert!(rendered.contains("\"lo\":0"));
+        assert!(rendered.contains("\"hi\":50"));
+        assert!(rendered.contains("\"dur\":30"));
+        // The parented chunk carries its owning span path as an arg.
+        assert!(rendered.contains("\"parent\":\"outer\""));
+        // The heap sample lands on the named mem lane as a C event.
+        assert!(rendered.contains("\"ph\":\"C\""));
+        assert!(rendered.contains("\"mem\""));
+        assert!(rendered.contains("\"bytes\":4096"));
+    }
+
+    #[test]
+    fn folded_stacks_ignore_counter_samples() {
+        let folded = folded_stacks(&fixture());
+        assert!(!folded.contains("heap_bytes"), "{folded}");
+        assert!(!folded.contains("mem;"), "{folded}");
+    }
+
+    #[test]
+    fn folded_stacks_telescope_to_span_totals() {
+        let folded = folded_stacks(&fixture());
+        let mut totals = BTreeMap::new();
+        for line in folded.lines() {
+            let (stack, ns) = line.rsplit_once(' ').expect("stack ns");
+            totals.insert(stack.to_string(), ns.parse::<u64>().expect("ns"));
         }
-        leo_obs::resource::set_alloc_hook(None);
-        let lanes = snapshot();
-        let mem = lanes
+        // outer ran 100µs total: 60µs exclusive + inner's 40µs.
+        assert_eq!(totals["main;outer"], 60_000);
+        assert_eq!(totals["main;outer;inner"], 40_000);
+        assert_eq!(totals["worker-0;parallel.par_map"], 30_000);
+        // The chunk dispatched from inside `outer` telescopes under
+        // its owning span's frames on the worker lane.
+        assert_eq!(totals["worker-1;outer;parallel.par_map"], 20_000);
+        let outer_total: u64 = totals
             .iter()
-            .find(|l| l.label == "mem")
-            .expect("mem lane registered");
-        let heap: Vec<&Event> = mem
-            .events
-            .iter()
-            .filter(|e| e.name == "heap_bytes")
-            .collect();
-        // One sample per span boundary: Begin and End.
-        assert_eq!(heap.len(), 2, "{heap:?}");
-        assert!(heap
-            .iter()
-            .all(|e| e.kind == EventKind::Counter && e.args == vec![("bytes", 2048)]));
-        set_enabled(false);
-        reset();
+            .filter(|(k, _)| k.starts_with("main;outer"))
+            .map(|(_, v)| v)
+            .sum();
+        assert_eq!(outer_total, 100_000, "exclusive segments telescope");
     }
 
     #[test]
-    fn reset_clears_lanes_and_rebases_worker_map() {
-        let _lock = test_lock();
-        leo_obs::set_enabled(true);
-        set_enabled(true);
-        reset();
-        worker_chunk(0, "t.chunk", None, Instant::now(), Instant::now(), 0, 4);
-        instant("t.marker");
-        assert!(lane_count() >= 2);
-        reset();
-        assert_eq!(lane_count(), 0);
-        assert_eq!(event_count(), 0);
-        // Re-recording after reset registers fresh lanes.
-        worker_chunk(0, "t.chunk", None, Instant::now(), Instant::now(), 0, 4);
-        assert_eq!(lane_count(), 1);
-        set_enabled(false);
-        reset();
+    fn writers_create_parent_directories() {
+        let capture = fixture();
+        let dir = std::env::temp_dir().join(format!("leo_trace_export_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let json_path = dir.join("nested/trace.json");
+        let folded_path = dir.join("nested/trace.folded");
+        write_chrome(&json_path, &capture).expect("chrome");
+        write_folded(&folded_path, &capture).expect("folded");
+        assert!(std::fs::read_to_string(&json_path)
+            .unwrap()
+            .contains("traceEvents"));
+        assert!(!std::fs::read_to_string(&folded_path).unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,11 +16,15 @@ cargo build --release --workspace
 echo "[tier1] cargo test -q --workspace"
 cargo test -q --workspace
 
-# leo-trace's lib tests share one process-global recorder; repeat them
-# so a race between test modules fails CI instead of passing by luck.
-echo "[tier1] cargo test -q -p leo-trace --lib (5 runs)"
-for _ in 1 2 3 4 5; do
-    cargo test -q -p leo-trace --lib
+# The lib tests of crates that hold process-wide state (leo-obs's
+# enable switch and default scope, leo-parallel's worker pool) and of
+# leo-trace run 5 times, so a race between tests fails CI instead of
+# passing by luck.
+for crate in leo-trace leo-obs leo-parallel; do
+    echo "[tier1] cargo test -q -p $crate --lib (5 runs)"
+    for _ in 1 2 3 4 5; do
+        cargo test -q -p "$crate" --lib
+    done
 done
 
 out="$(mktemp -d)"
@@ -266,12 +270,14 @@ doc = json.load(open(f"{traced}/trace.json"))
 events = doc["traceEvents"]
 assert events, "empty trace"
 
-# Lane names: main plus one lane per worker index at --threads 4,
-# plus the memory counter lane.
+# Lanes in their fixed order, and no others: main, the memory counter
+# lane, then one lane per worker index at --threads 4, ascending.
 lanes = {e["args"]["name"]: e["tid"] for e in events
          if e.get("ph") == "M" and e.get("name") == "thread_name"}
-for lane in ("main", "worker-0", "worker-1", "worker-2", "worker-3", "mem"):
-    assert lane in lanes, f"missing lane {lane}: {sorted(lanes)}"
+order = sorted(lanes, key=lanes.get)
+expected = ["main", "mem", "worker-0", "worker-1", "worker-2", "worker-3"]
+assert order == expected, f"lane order {order}, expected {expected}"
+assert [lanes[l] for l in order] == list(range(len(order))), lanes
 
 # Span boundaries sample the heap onto the mem lane as "C" events.
 heap_samples = [e for e in events

@@ -13,12 +13,12 @@
 //! * [`orbit`] — Walker constellations, propagation, coverage, density
 //! * [`demand`] — synthetic broadband-map and income datasets
 //! * [`capacity`] — Starlink spectrum/beam capacity model
-//! * [`parallel`] — deterministic worker pool and memoization layer
+//! * [`parallel`] — deterministic worker pool and fan-out layer
 //! * [`model`] — the paper's analytical model (findings F1–F4)
 //! * [`simnet`] — flow-level oversubscription QoE simulator
 //! * [`report`] — tables, CSV, and SVG figure rendering
-//! * [`obs`] — spans, metrics, run manifests, leveled logging
-//! * [`trace`] — timeline recorder with Chrome-trace/flamegraph export
+//! * [`obs`] — spans, metrics, timelines, run manifests, leveled logging
+//! * [`trace`] — Chrome-trace/flamegraph export of a captured timeline
 //! * [`cache`] — content-addressed dataset snapshots for warm runs
 //! * [`alloc_track`] — tracking global-allocator wrapper (heap telemetry)
 

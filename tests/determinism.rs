@@ -183,20 +183,22 @@ fn resource_telemetry_does_not_perturb_artifact_bytes() {
     assert_eq!(on_1, on_4, "thread count leaked into artifacts");
 }
 
-/// The timeline recorder shares the observability contract (DESIGN.md
-/// §10): recording worker-chunk events and span begin/ends must never
-/// change a single artifact byte, at any thread count.
+/// The timeline shares the observability contract (DESIGN.md §10):
+/// recording worker-chunk events and span begin/ends must never change
+/// a single artifact byte, at any thread count.
 #[test]
 fn tracing_does_not_perturb_artifact_bytes() {
-    use starlink_divide_repro::{obs, trace};
+    use starlink_divide_repro::obs::{self, scope::ObsScope};
 
     obs::set_enabled(true);
-    trace::set_enabled(true);
-    trace::reset();
-    let traced_1 = artifact_bytes(1);
-    let traced_4 = artifact_bytes(4);
-    trace::set_enabled(false);
-    trace::reset();
+    let traced = |threads| {
+        let scope = ObsScope::new();
+        scope.enable_timeline();
+        let _g = scope.enter();
+        artifact_bytes(threads)
+    };
+    let traced_1 = traced(1);
+    let traced_4 = traced(4);
     let plain_1 = artifact_bytes(1);
     let plain_4 = artifact_bytes(4);
 
