@@ -16,7 +16,7 @@ fn bench_fig2(c: &mut Criterion) {
     // Micro-assert: the memoized view must agree with a freshly sorted
     // copy of the per-cell counts (and with itself across calls).
     let counts = model.dataset.sorted_counts();
-    let mut fresh: Vec<u64> = model.dataset.cells.iter().map(|c| c.locations).collect();
+    let mut fresh = model.dataset.cols.locations.clone();
     fresh.sort_unstable();
     assert_eq!(
         *counts, fresh,

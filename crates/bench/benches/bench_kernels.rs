@@ -230,21 +230,8 @@ fn bench_kernels(c: &mut Criterion) {
     });
 
     // Kernel 5: the sensitivity/tail unserved fold — a branch-free
-    // saturating fold over the contiguous counts column versus the
-    // row-major struct walk.
+    // saturating fold over the contiguous counts column.
     let fold_limits = [0u64, 61, 1_733, 3_465];
-    c.bench_function("kernels/unserved_fold/row_major", |b| {
-        b.iter(|| {
-            for &limit in &fold_limits {
-                let v: u64 = ds
-                    .cells
-                    .iter()
-                    .map(|cell| cell.locations.saturating_sub(limit))
-                    .sum();
-                black_box(v);
-            }
-        })
-    });
     c.bench_function("kernels/unserved_fold/columnar", |b| {
         b.iter(|| {
             for &limit in &fold_limits {
@@ -321,7 +308,7 @@ fn bench_kernels(c: &mut Criterion) {
         );
     }
     let decoded = decode_dataset(&payload).expect("round trip");
-    assert_eq!(decoded.cells.len(), ds.cells.len());
+    assert_eq!(decoded.cols.len(), ds.cols.len());
     assert_eq!(decoded.total_locations, ds.total_locations);
 
     // Columnar-kernel gates: every data-oriented rewrite must agree
@@ -336,7 +323,7 @@ fn bench_kernels(c: &mut Criterion) {
     }
     for &limit in &fold_limits {
         let scalar: u64 = ds
-            .cells
+            .cols
             .iter()
             .map(|cell| cell.locations.saturating_sub(limit))
             .sum();

@@ -1,6 +1,6 @@
 //! Domain snapshots: the generated dataset and the Fig 2 sweep rows.
 //!
-//! ## Payload layouts (schema v2, columnar)
+//! ## Payload layouts (schema v3, columnar)
 //!
 //! Payloads are sequences of **column blocks**: a `u64` element count
 //! followed by the elements as contiguous little-endian words. Every
@@ -14,9 +14,10 @@
 //! `county` u32 + pad) mirroring
 //! [`DatasetColumns`](leo_demand::dataset::DatasetColumns); then
 //! `n_counties` and the five county columns (`seat lat`, `seat lng`,
-//! `income`, `locations`, `remoteness`); then the pre-sorted per-cell
-//! count view so a warm run skips even the Fig 1 sort. Cell centers are
-//! *stored* rather than recomputed: v1's per-cell
+//! `income`, `locations`, `remoteness`). The ascending count view is
+//! not persisted: re-sorting 20k counts on first use costs well under
+//! a millisecond. Cell centers are *stored* rather than recomputed:
+//! v1's per-cell
 //! `GeoHexGrid::cell_center` calls were ~20k projection evaluations
 //! that dominated warm decode, and the stored canonical degrees
 //! reconstitute the identical bits for ~320 KB more file.
@@ -25,9 +26,10 @@
 //! one row-major f64 column.
 //!
 //! Each column's length prefix must agree with the header counts;
-//! mismatches, truncation, out-of-range coordinates, and nonzero
-//! padding all decode to a typed error and regenerate. v1 containers
-//! fail closed earlier, at the container's schema check.
+//! mismatches, truncation, out-of-range coordinates, cell ids that are
+//! not strictly ascending, county ids beyond the county table, and
+//! nonzero padding all decode to a typed error and regenerate. Older
+//! schemas fail closed earlier, at the container's schema check.
 //!
 //! ## Keys
 //!
@@ -139,14 +141,14 @@ fn take_column_len(
     Ok(())
 }
 
-/// Encodes a dataset into the schema-v2 columnar payload.
+/// Encodes a dataset into the schema-v3 columnar payload.
 pub fn encode_dataset(ds: &BroadbandDataset) -> Vec<u8> {
     let cols = &ds.cols;
     let n = cols.len();
     let nc = ds.counties.len();
     // Header + five cell columns (36 B/cell + prefixes) + five county
-    // columns + the sorted-count column.
-    let estimate = 16 + 5 * 8 + n * 36 + 8 + 6 * 8 + nc * 40 + 8 + n * 8 + 16;
+    // columns.
+    let estimate = 16 + 5 * 8 + n * 36 + 8 + 6 * 8 + nc * 40 + 8;
     let mut e = Encoder::with_capacity(estimate);
     e.put_len(ds.us_cell_count);
     e.put_len(n);
@@ -184,17 +186,16 @@ pub fn encode_dataset(ds: &BroadbandDataset) -> Vec<u8> {
     scratch_f.extend(ds.counties.iter().map(|c| c.remoteness_km));
     e.put_len(nc);
     e.put_f64_slice(&scratch_f);
-    let sorted = ds.sorted_counts();
-    e.put_len(sorted.len());
-    e.put_u64_slice(&sorted);
     e.finish()
 }
 
-/// Decodes a schema-v2 columnar dataset payload. The grid is rebuilt
+/// Decodes a schema-v3 columnar dataset payload. The grid is rebuilt
 /// from its fixed construction (`GeoHexGrid::starlink`); cell centers
 /// are *not* recomputed — the stored canonical degrees are validated
-/// and reconstituted bit-for-bit, so decode is a handful of bulk column
-/// reads plus one row-major materialization pass.
+/// and kept bit-for-bit, so decode is a handful of bulk column reads.
+/// Every invariant the rest of the code indexes by — ascending unique
+/// cell ids, in-range county ids — is checked here, so a bad snapshot
+/// regenerates instead of panicking downstream.
 pub fn decode_dataset(payload: &[u8]) -> Result<BroadbandDataset, DecodeError> {
     let mut d = Decoder::new(payload);
     let grid = GeoHexGrid::starlink();
@@ -204,6 +205,9 @@ pub fn decode_dataset(payload: &[u8]) -> Result<BroadbandDataset, DecodeError> {
     let n_cells = d.take_len(36)?;
     take_column_len(&mut d, n_cells, 8)?;
     let ids = d.take_u64_vec(n_cells)?;
+    if ids.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(DecodeError::Invalid("cell ids not strictly ascending"));
+    }
     let mut cell = Vec::with_capacity(n_cells);
     for raw in ids {
         cell.push(CellId::from_u64(raw).ok_or(DecodeError::Invalid("bad cell id"))?);
@@ -225,6 +229,9 @@ pub fn decode_dataset(payload: &[u8]) -> Result<BroadbandDataset, DecodeError> {
     let county = d.take_u32_vec(n_cells)?;
     take_align_pad(&mut d, n_cells * 4)?;
     let n_counties = d.take_len(40)?;
+    if county.iter().any(|&c| c as usize >= n_counties) {
+        return Err(DecodeError::Invalid("cell county id beyond county table"));
+    }
     take_column_len(&mut d, n_counties, 8)?;
     let seat_lat = d.take_f64_vec(n_counties)?;
     take_column_len(&mut d, n_counties, 8)?;
@@ -252,14 +259,6 @@ pub fn decode_dataset(payload: &[u8]) -> Result<BroadbandDataset, DecodeError> {
             remoteness_km: remoteness[i],
         });
     }
-    let n_sorted = d.take_len(8)?;
-    if n_sorted != n_cells {
-        return Err(DecodeError::Invalid("sorted-count length != cell count"));
-    }
-    let sorted = d.take_u64_vec(n_sorted)?;
-    if sorted.windows(2).any(|w| w[0] > w[1]) {
-        return Err(DecodeError::Invalid("sorted counts not ascending"));
-    }
     d.expect_empty()?;
     let cols = DatasetColumns {
         cell,
@@ -268,12 +267,15 @@ pub fn decode_dataset(payload: &[u8]) -> Result<BroadbandDataset, DecodeError> {
         locations,
         county,
     };
-    let ds = BroadbandDataset::from_columns(grid, cols, us_cell_count, counties);
-    ds.prime_sorted_counts(sorted);
-    Ok(ds)
+    Ok(BroadbandDataset::from_columns(
+        grid,
+        cols,
+        us_cell_count,
+        counties,
+    ))
 }
 
-/// Encodes a coverage sweep into the schema-v2 columnar payload.
+/// Encodes a coverage sweep into the schema-v3 columnar payload.
 pub fn encode_sweep(s: &CoverageSweep) -> Vec<u8> {
     let n_b = s.beamspreads.len();
     let n_o = s.oversubs.len();
@@ -293,7 +295,7 @@ pub fn encode_sweep(s: &CoverageSweep) -> Vec<u8> {
     e.finish()
 }
 
-/// Decodes a schema-v2 columnar coverage-sweep payload.
+/// Decodes a schema-v3 columnar coverage-sweep payload.
 pub fn decode_sweep(payload: &[u8]) -> Result<CoverageSweep, DecodeError> {
     let mut d = Decoder::new(payload);
     let n_b = d.take_len(4)?;
@@ -409,14 +411,12 @@ mod tests {
     fn assert_datasets_bit_equal(a: &BroadbandDataset, b: &BroadbandDataset) {
         assert_eq!(a.us_cell_count, b.us_cell_count);
         assert_eq!(a.total_locations, b.total_locations);
-        assert_eq!(a.cells.len(), b.cells.len());
-        for (x, y) in a.cells.iter().zip(b.cells.iter()) {
-            assert_eq!(x.cell, y.cell);
-            assert_eq!(x.locations, y.locations);
-            assert_eq!(x.county, y.county);
-            assert_eq!(x.center.lat_deg().to_bits(), y.center.lat_deg().to_bits());
-            assert_eq!(x.center.lng_deg().to_bits(), y.center.lng_deg().to_bits());
-        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.cols.cell, b.cols.cell);
+        assert_eq!(a.cols.locations, b.cols.locations);
+        assert_eq!(a.cols.county, b.cols.county);
+        assert_eq!(bits(&a.cols.lat_deg), bits(&b.cols.lat_deg));
+        assert_eq!(bits(&a.cols.lng_deg), bits(&b.cols.lng_deg));
         assert_eq!(a.counties.len(), b.counties.len());
         for (x, y) in a.counties.iter().zip(b.counties.iter()) {
             assert_eq!(x.id, y.id);
@@ -536,6 +536,31 @@ mod tests {
     }
 
     #[test]
+    fn dangling_county_and_unordered_cell_ids_are_rejected() {
+        let ds = BroadbandDataset::generate(&SynthConfig::small());
+        let payload = encode_dataset(&ds);
+        let n = ds.cols.len();
+        let expect_invalid = |bytes: &[u8], what: &str| match decode_dataset(bytes) {
+            Err(e) => assert!(e.to_string().contains(what), "unexpected error: {e}"),
+            Ok(_) => panic!("payload with {what} decoded"),
+        };
+        // The county column follows the 16-byte header and four
+        // 8-byte-wide cell columns (id, locations, lat, lng), each with
+        // its 8-byte length prefix, then its own prefix.
+        let county_at = 16 + 4 * (8 + 8 * n) + 8;
+        let mut dangling = payload.clone();
+        dangling[county_at..county_at + 4]
+            .copy_from_slice(&(ds.counties.len() as u32).to_le_bytes());
+        expect_invalid(&dangling, "county id beyond county table");
+        // Swap the first two cell ids (the id column starts at byte 24).
+        let mut swapped = payload.clone();
+        let first: [u8; 8] = swapped[24..32].try_into().unwrap();
+        swapped.copy_within(32..40, 24);
+        swapped[32..40].copy_from_slice(&first);
+        expect_invalid(&swapped, "cell ids not strictly ascending");
+    }
+
+    #[test]
     fn sweep_column_length_mismatch_is_rejected() {
         let s = CoverageSweep {
             beamspreads: vec![1, 2, 3],
@@ -578,34 +603,37 @@ mod tests {
     }
 
     #[test]
-    fn v1_schema_container_on_disk_invalidates_and_regenerates() {
-        let dir = tmp_dir("v1schema");
+    fn stale_schema_containers_on_disk_invalidate_and_regenerate() {
+        let dir = tmp_dir("staleschema");
         let cache = DatasetCache::new(&dir);
         let cfg = SynthConfig::small();
         let cold = cache.load_or_generate(&cfg);
         let key = dataset_key(&cfg);
-        // Simulate a snapshot left by a pre-columnar build: same key
-        // path, container schema field = 1. The address never changes
-        // with the schema *file-name-wise* — only the key hash does —
-        // so fail-closed at the container check is the real guard.
-        cache
-            .store()
-            .save(DATASET_KIND, key, 1, &encode_dataset(&cold));
-        let invalid0 = leo_obs::metrics::counter_value("cache.invalid");
-        let regen = cache.load_or_generate(&cfg);
-        // `>`: other tests in this binary also exercise invalidation
-        // concurrently; the process-global counter only ever grows.
-        assert!(
-            leo_obs::metrics::counter_value("cache.invalid") > invalid0,
-            "schema-v1 container must count as cache.invalid"
-        );
-        assert_datasets_bit_equal(&cold, &regen);
-        // The regeneration re-saved a v2 container: the next load is a
-        // clean hit again.
-        assert!(cache
-            .store()
-            .load_payload(DATASET_KIND, key, SCHEMA_VERSION)
-            .is_some());
+        // Simulate snapshots left by older builds: same key path,
+        // container schema field = 1 (per-record layout) or 2 (with
+        // the sorted-count column). The address never changes with the
+        // schema *file-name-wise* — only the key hash does — so
+        // fail-closed at the container check is the real guard.
+        for stale in 1..SCHEMA_VERSION {
+            cache
+                .store()
+                .save(DATASET_KIND, key, stale, &encode_dataset(&cold));
+            let invalid0 = leo_obs::metrics::counter_value("cache.invalid");
+            let regen = cache.load_or_generate(&cfg);
+            // `>`: other tests in this binary also exercise invalidation
+            // concurrently; the process-global counter only ever grows.
+            assert!(
+                leo_obs::metrics::counter_value("cache.invalid") > invalid0,
+                "schema-v{stale} container must count as cache.invalid"
+            );
+            assert_datasets_bit_equal(&cold, &regen);
+            // The regeneration re-saved a current container: the next
+            // load is a clean hit again.
+            assert!(cache
+                .store()
+                .load_payload(DATASET_KIND, key, SCHEMA_VERSION)
+                .is_some());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

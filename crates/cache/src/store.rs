@@ -45,9 +45,9 @@ pub const CONTAINER_VERSION: u32 = 1;
 /// container header and every content key, so old snapshots are doubly
 /// unreachable. v2 switched the payloads from per-record field loops
 /// to length-prefixed, 8-byte-aligned column blocks (bulk reads on
-/// decode); v1 containers fail closed through `cache.invalid` →
-/// regenerate.
-pub const SCHEMA_VERSION: u32 = 2;
+/// decode); v3 dropped the dataset's persisted sorted-count column.
+/// Older containers fail closed through `cache.invalid` → regenerate.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"LEOSNAP\0";

@@ -537,7 +537,7 @@ fn main() {
     leo_obs::log_info!(
         "dataset: {} locations in {} demand cells ({} US cells)",
         model.dataset.total_locations,
-        model.dataset.cells.len(),
+        model.dataset.cols.len(),
         model.dataset.us_cell_count
     );
 

@@ -120,7 +120,7 @@ mod tests {
     fn map_series_covers_all_demand_cells() {
         let m = model();
         let map = map_series(m);
-        assert_eq!(map.len(), m.dataset.cells.len());
+        assert_eq!(map.len(), m.dataset.cols.len());
         // All within the CONUS bounding box.
         for &(lat, lng, _) in &map {
             assert!((24.0..50.0).contains(&lat), "{lat}");

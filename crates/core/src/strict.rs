@@ -53,14 +53,15 @@ pub fn strict_bound(model: &PaperModel, spread: Beamspread) -> StrictBound {
     let paper =
         sizing::constellation_size(model, leo_capacity::DeploymentPolicy::fcc_capped(), spread);
     let mut best = (0u64, 0.0f64, 0u32, 0u64);
-    for c in &model.dataset.cells {
-        let served = c.locations.min(limit);
+    let cols = &model.dataset.cols;
+    for (&locations, &lat) in cols.locations.iter().zip(&cols.lat_deg) {
+        let served = locations.min(limit);
         let beams = beams_required(&model.capacity, served, oversub)
             .expect("served fits by construction")
             .max(1); // every covered cell holds at least a beam share
-        if let Some(n) = sizing::constellation_size_at(model, c.center.lat_deg(), beams, spread) {
+        if let Some(n) = sizing::constellation_size_at(model, lat, beams, spread) {
             if n > best.0 {
-                best = (n, c.center.lat_deg(), beams, c.locations);
+                best = (n, lat, beams, locations);
             }
         }
     }

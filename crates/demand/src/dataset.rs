@@ -67,7 +67,7 @@ impl SynthConfig {
     }
 }
 
-/// A service cell with demand.
+/// A service cell with demand: one row of [`DatasetColumns`], by value.
 #[derive(Debug, Clone, Copy)]
 pub struct CellDemand {
     /// The hex cell.
@@ -91,17 +91,17 @@ pub struct Location {
     pub county: u32,
 }
 
-/// Column-major (struct-of-arrays) layout of the demand cells.
+/// The demand cells, stored column-major (struct-of-arrays).
 ///
-/// Every vector is parallel: index `i` across all five columns is the
-/// same cell as `BroadbandDataset::cells[i]`, and cells stay sorted by
-/// cell id. The row-major `CellDemand` view remains the ergonomic API;
-/// the columns exist so the hot scans — the Fig 2 served-fraction
-/// sweep, the sensitivity unserved folds, the Fig 1 CDF/map series —
-/// run over contiguous `u64`/`f64` slices that LLVM can autovectorize
-/// instead of striding through 40-byte structs. The columnar snapshot
-/// container (`leo-cache` LEOSNAP v2) persists exactly these vectors,
-/// so warm decode is a handful of bulk reads.
+/// These five parallel vectors are the dataset's only cell storage:
+/// index `i` across all of them is one cell, and cells stay sorted by
+/// cell id. [`CellDemand`] is the value type [`DatasetColumns::get`]
+/// and [`DatasetColumns::iter`] hand out for code that wants a whole
+/// row. The hot scans — the Fig 2 served-fraction sweep, the
+/// sensitivity unserved folds, the Fig 1 CDF/map series — run over the
+/// contiguous `u64`/`f64` slices, which LLVM can autovectorize, and the
+/// columnar snapshot container (`leo-cache` LEOSNAP v3) persists
+/// exactly these vectors, so warm decode is a handful of bulk reads.
 #[derive(Debug, Clone, Default)]
 pub struct DatasetColumns {
     /// Cell ids, strictly ascending.
@@ -117,25 +117,6 @@ pub struct DatasetColumns {
 }
 
 impl DatasetColumns {
-    /// Builds columns from a row-major cell slice.
-    pub fn from_cells(cells: &[CellDemand]) -> Self {
-        let mut cols = DatasetColumns {
-            cell: Vec::with_capacity(cells.len()),
-            lat_deg: Vec::with_capacity(cells.len()),
-            lng_deg: Vec::with_capacity(cells.len()),
-            locations: Vec::with_capacity(cells.len()),
-            county: Vec::with_capacity(cells.len()),
-        };
-        for c in cells {
-            cols.cell.push(c.cell);
-            cols.lat_deg.push(c.center.lat_deg());
-            cols.lng_deg.push(c.center.lng_deg());
-            cols.locations.push(c.locations);
-            cols.county.push(c.county);
-        }
-        cols
-    }
-
     /// Number of cells.
     pub fn len(&self) -> usize {
         self.cell.len()
@@ -156,7 +137,7 @@ impl DatasetColumns {
             && self.county.len() == n
     }
 
-    /// The row-major view of cell `i`. The center is reconstituted
+    /// Cell `i` as a `CellDemand` value. The center is reconstituted
     /// from the stored canonical degrees bit-for-bit.
     pub fn get(&self, i: usize) -> CellDemand {
         CellDemand {
@@ -167,7 +148,19 @@ impl DatasetColumns {
         }
     }
 
-    /// Iterates the cells as row-major views.
+    /// The cells at indices `idx`, in that order, as new columns (the
+    /// caller keeps the cell ids ascending).
+    pub fn select(&self, idx: &[usize]) -> DatasetColumns {
+        DatasetColumns {
+            cell: idx.iter().map(|&i| self.cell[i]).collect(),
+            lat_deg: idx.iter().map(|&i| self.lat_deg[i]).collect(),
+            lng_deg: idx.iter().map(|&i| self.lng_deg[i]).collect(),
+            locations: idx.iter().map(|&i| self.locations[i]).collect(),
+            county: idx.iter().map(|&i| self.county[i]).collect(),
+        }
+    }
+
+    /// Iterates the cells as `CellDemand` values, in cell-id order.
     pub fn iter(&self) -> impl Iterator<Item = CellDemand> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
@@ -220,11 +213,9 @@ impl DatasetColumns {
 pub struct BroadbandDataset {
     /// The service-cell grid.
     pub grid: GeoHexGrid,
-    /// Demand cells (≥ 1 un(der)served location), sorted by cell id.
-    pub cells: Vec<CellDemand>,
-    /// Column-major mirror of `cells` for the vectorizable hot scans.
-    /// Always consistent with `cells`; both are built by the
-    /// constructors and never mutated afterwards.
+    /// Demand cells (≥ 1 un(der)served location), sorted by cell id:
+    /// the one copy of the per-cell table. Built by the constructor and
+    /// never mutated afterwards.
     pub cols: DatasetColumns,
     /// Total number of US service cells (including zero-demand cells,
     /// which still require coverage beams).
@@ -241,33 +232,11 @@ pub struct BroadbandDataset {
 }
 
 impl BroadbandDataset {
-    /// Assembles a dataset from already-built parts (import paths and
-    /// scenario transforms). The total location count and the lazy
-    /// sorted-counts cache are derived here so every construction site
-    /// stays consistent.
-    pub fn from_parts(
-        grid: GeoHexGrid,
-        cells: Vec<CellDemand>,
-        us_cell_count: usize,
-        counties: Vec<County>,
-    ) -> Self {
-        let cols = DatasetColumns::from_cells(&cells);
-        let total_locations = cols.total_locations();
-        BroadbandDataset {
-            grid,
-            cells,
-            cols,
-            us_cell_count,
-            counties,
-            total_locations,
-            sorted: OnceLock::new(),
-        }
-    }
-
-    /// Assembles a dataset directly from columns (the snapshot decode
-    /// path): the row-major `cells` view is materialized in one pass,
-    /// so decode never touches the grid's projection math. The columns
-    /// must be consistent and sorted by cell id.
+    /// Assembles a dataset from its columns — generation, snapshot
+    /// decode, CSV import and the scenario transforms all end here, so
+    /// the total location count and the lazy sorted-counts cache are
+    /// derived in one place. The columns must be consistent, sorted by
+    /// cell id, and name only counties below `counties.len()`.
     pub fn from_columns(
         grid: GeoHexGrid,
         cols: DatasetColumns,
@@ -275,11 +244,9 @@ impl BroadbandDataset {
         counties: Vec<County>,
     ) -> Self {
         debug_assert!(cols.is_consistent());
-        let cells: Vec<CellDemand> = cols.iter().collect();
         let total_locations = cols.total_locations();
         BroadbandDataset {
             grid,
-            cells,
             cols,
             us_cell_count,
             counties,
@@ -461,7 +428,7 @@ impl BroadbandDataset {
         };
         let ds = Self::from_columns(grid, cols, us_cell_count, counties);
         leo_obs::metrics::counter_add("demand.us_cells", ds.us_cell_count as u64);
-        leo_obs::metrics::counter_add("demand.cells", ds.cells.len() as u64);
+        leo_obs::metrics::counter_add("demand.cells", ds.cols.len() as u64);
         leo_obs::metrics::counter_add("demand.locations", ds.total_locations);
         ds
     }
@@ -478,30 +445,21 @@ impl BroadbandDataset {
         Arc::clone(sorted)
     }
 
-    /// Seeds the sorted-counts cache with an already-sorted vector
-    /// (snapshot decode paths, which persist the sorted view so a warm
-    /// run skips even the 20k-element sort). No-op if the cache is
-    /// already built. The vector must be exactly what `sorted_counts`
-    /// would compute — ascending, one entry per demand cell.
-    pub fn prime_sorted_counts(&self, sorted: Vec<u64>) {
-        debug_assert_eq!(sorted.len(), self.cells.len());
-        debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-        let _ = self.sorted.set(Arc::new(sorted));
-    }
-
     /// The cell with the most un(der)served locations.
-    pub fn peak_cell(&self) -> &CellDemand {
+    pub fn peak_cell(&self) -> CellDemand {
         let i = self
             .cols
             .peak_index()
             .expect("dataset has at least one cell");
-        &self.cells[i]
+        self.cols.get(i)
     }
 
     /// The cell with the most locations at or below `limit` — the
     /// binding cell of a capped deployment scenario.
-    pub fn peak_cell_at_most(&self, limit: u64) -> Option<&CellDemand> {
-        self.cols.peak_index_at_most(limit).map(|i| &self.cells[i])
+    pub fn peak_cell_at_most(&self, limit: u64) -> Option<CellDemand> {
+        self.cols
+            .peak_index_at_most(limit)
+            .map(|i| self.cols.get(i))
     }
 
     /// Median household income of a cell's county, USD/year.
@@ -517,9 +475,11 @@ impl BroadbandDataset {
     pub fn scatter_locations(&self, seed: u64) -> Vec<Location> {
         let _span = leo_obs::span!("demand.scatter");
         let inradius = self.grid.center_spacing_km(STARLINK_RESOLUTION) / 2.0 * 0.95;
-        let per_cell = par_map(&self.cells, |_, c| {
+        let cols = &self.cols;
+        let per_cell = par_map(&cols.locations, |i, &n| {
+            let c = cols.get(i);
             let mut rng = StdRng::seed_from_u64(mix64(seed, c.cell.as_u64()));
-            (0..c.locations)
+            (0..n)
                 .map(|_| {
                     let bearing = rng.gen_range(0.0..360.0);
                     let radius = inradius * rng.gen_range(0.0f64..1.0).sqrt();
@@ -552,11 +512,12 @@ mod tests {
     fn small_dataset_totals() {
         let ds = small();
         assert_eq!(ds.total_locations, 120_000);
+        assert!(ds.cols.is_consistent());
         assert_eq!(
-            ds.cells.iter().map(|c| c.locations).sum::<u64>(),
+            ds.cols.iter().map(|c| c.locations).sum::<u64>(),
             ds.total_locations
         );
-        assert!(ds.us_cell_count > ds.cells.len());
+        assert!(ds.us_cell_count > ds.cols.len());
     }
 
     #[test]
@@ -582,16 +543,16 @@ mod tests {
     #[test]
     fn cells_are_sorted_and_unique() {
         let ds = small();
-        for w in ds.cells.windows(2) {
-            assert!(w[0].cell < w[1].cell);
+        for w in ds.cols.cell.windows(2) {
+            assert!(w[0] < w[1]);
         }
     }
 
     #[test]
     fn counties_cover_all_cells() {
         let ds = small();
-        for c in &ds.cells {
-            assert!((c.county as usize) < ds.counties.len());
+        for &county in &ds.cols.county {
+            assert!((county as usize) < ds.counties.len());
         }
         let assigned: u64 = ds.counties.iter().map(|c| c.locations).sum();
         assert_eq!(assigned, ds.total_locations);
@@ -601,7 +562,7 @@ mod tests {
     fn incomes_are_calibrated_by_weight() {
         let ds = small();
         let below: u64 = ds
-            .cells
+            .cols
             .iter()
             .filter(|c| ds.cell_income(c) < 72_000.0)
             .map(|c| c.locations)
@@ -615,12 +576,9 @@ mod tests {
     fn generation_is_deterministic() {
         let a = small();
         let b = small();
-        assert_eq!(a.cells.len(), b.cells.len());
-        for (x, y) in a.cells.iter().zip(b.cells.iter()) {
-            assert_eq!(x.cell, y.cell);
-            assert_eq!(x.locations, y.locations);
-            assert_eq!(x.county, y.county);
-        }
+        assert_eq!(a.cols.cell, b.cols.cell);
+        assert_eq!(a.cols.locations, b.cols.locations);
+        assert_eq!(a.cols.county, b.cols.county);
     }
 
     #[test]
@@ -637,27 +595,11 @@ mod tests {
     }
 
     #[test]
-    fn columns_mirror_cells_bit_for_bit() {
-        let ds = small();
-        assert!(ds.cols.is_consistent());
-        assert_eq!(ds.cols.len(), ds.cells.len());
-        for (i, c) in ds.cells.iter().enumerate() {
-            let v = ds.cols.get(i);
-            assert_eq!(v.cell, c.cell);
-            assert_eq!(v.locations, c.locations);
-            assert_eq!(v.county, c.county);
-            assert_eq!(v.center.lat_deg().to_bits(), c.center.lat_deg().to_bits());
-            assert_eq!(v.center.lng_deg().to_bits(), c.center.lng_deg().to_bits());
-        }
-        assert_eq!(ds.cols.total_locations(), ds.total_locations);
-    }
-
-    #[test]
     fn columnar_peak_scans_match_row_major_scans() {
         let ds = small();
         let peak = ds.peak_cell();
         let naive = ds
-            .cells
+            .cols
             .iter()
             .max_by_key(|c| (c.locations, c.cell))
             .unwrap();
@@ -665,7 +607,7 @@ mod tests {
         for limit in [0, 100, 3465, 5000, u64::MAX] {
             let a = ds.peak_cell_at_most(limit).map(|c| c.cell);
             let b = ds
-                .cells
+                .cols
                 .iter()
                 .filter(|c| c.locations <= limit)
                 .max_by_key(|c| (c.locations, c.cell))
@@ -679,31 +621,11 @@ mod tests {
         let ds = small();
         for limit in [0u64, 1, 61, 552, 1437, 5998, u64::MAX] {
             let naive: u64 = ds
-                .cells
+                .cols
                 .iter()
                 .map(|c| c.locations.saturating_sub(limit))
                 .sum();
             assert_eq!(ds.cols.unserved_above(limit), naive, "limit {limit}");
-        }
-    }
-
-    #[test]
-    fn from_columns_round_trips_from_parts() {
-        let ds = small();
-        let rebuilt = BroadbandDataset::from_columns(
-            ds.grid.clone(),
-            ds.cols.clone(),
-            ds.us_cell_count,
-            ds.counties.clone(),
-        );
-        assert_eq!(rebuilt.total_locations, ds.total_locations);
-        assert_eq!(rebuilt.cells.len(), ds.cells.len());
-        for (a, b) in rebuilt.cells.iter().zip(ds.cells.iter()) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.locations, b.locations);
-            assert_eq!(a.county, b.county);
-            assert_eq!(a.center.lat_deg().to_bits(), b.center.lat_deg().to_bits());
-            assert_eq!(a.center.lng_deg().to_bits(), b.center.lng_deg().to_bits());
         }
     }
 

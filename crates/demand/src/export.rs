@@ -13,7 +13,7 @@
 //! exactly.
 
 use crate::counties::County;
-use crate::dataset::{BroadbandDataset, CellDemand};
+use crate::dataset::{BroadbandDataset, DatasetColumns};
 use leo_geomath::LatLng;
 use leo_hexgrid::{CellId, GeoHexGrid};
 use std::fmt::Write as _;
@@ -24,8 +24,8 @@ pub fn cells_to_csv(ds: &BroadbandDataset) -> String {
     // ~56 bytes/row at paper scale (a res-5 cell id alone is 19
     // digits); reserving once skips the doubling reallocations of a
     // megabyte-sized string.
-    out.reserve(ds.cells.len() * 56);
-    for c in &ds.cells {
+    out.reserve(ds.cols.len() * 56);
+    for c in ds.cols.iter() {
         let _ = writeln!(
             out,
             "{},{:.7},{:.7},{},{}",
@@ -81,6 +81,20 @@ pub enum ImportError {
         /// The bad county id.
         county: u32,
     },
+    /// Two cell rows named the same cell.
+    DuplicateCell {
+        /// The repeated cell id.
+        cell: u64,
+    },
+    /// A county row's id is not its position in the table (cells name
+    /// counties by position, so a gap or reordering would misattribute
+    /// them).
+    MisindexedCounty {
+        /// 1-based line number.
+        line: usize,
+        /// The id the row carries.
+        county_id: u32,
+    },
 }
 
 impl std::fmt::Display for ImportError {
@@ -94,6 +108,15 @@ impl std::fmt::Display for ImportError {
             }
             ImportError::DanglingCounty { county } => {
                 write!(f, "cells reference unknown county {county}")
+            }
+            ImportError::DuplicateCell { cell } => {
+                write!(f, "cells.csv lists cell {cell} more than once")
+            }
+            ImportError::MisindexedCounty { line, county_id } => {
+                write!(
+                    f,
+                    "counties.csv line {line}: county_id {county_id} out of order"
+                )
             }
         }
     }
@@ -115,7 +138,8 @@ fn parse<T: std::str::FromStr>(
 
 /// Reconstructs a dataset from the two CSV tables, recomputing
 /// aggregate fields. The US-cell count is recomputed from the CONUS
-/// polygon as at generation time.
+/// polygon as at generation time. County rows must be listed in id
+/// order from 0, and every cell id at most once.
 pub fn import(cells_csv: &str, counties_csv: &str) -> Result<BroadbandDataset, ImportError> {
     let grid = GeoHexGrid::starlink();
 
@@ -137,8 +161,15 @@ pub fn import(cells_csv: &str, counties_csv: &str) -> Result<BroadbandDataset, I
                 line: i + 1,
             });
         }
+        let id: u32 = parse("counties", i + 1, f[0])?;
+        if id as usize != counties.len() {
+            return Err(ImportError::MisindexedCounty {
+                line: i + 1,
+                county_id: id,
+            });
+        }
         counties.push(County {
-            id: parse("counties", i + 1, f[0])?,
+            id,
             seat: LatLng::new(
                 parse("counties", i + 1, f[1])?,
                 parse("counties", i + 1, f[2])?,
@@ -149,7 +180,7 @@ pub fn import(cells_csv: &str, counties_csv: &str) -> Result<BroadbandDataset, I
         });
     }
 
-    let mut cells = Vec::new();
+    let mut rows = DatasetColumns::default();
     for (i, row) in cells_csv.lines().enumerate() {
         if i == 0 {
             if !row.starts_with("cell_id,") {
@@ -177,23 +208,34 @@ pub fn import(cells_csv: &str, counties_csv: &str) -> Result<BroadbandDataset, I
         if county as usize >= counties.len() {
             return Err(ImportError::DanglingCounty { county });
         }
-        cells.push(CellDemand {
-            cell,
-            center: LatLng::new(parse("cells", i + 1, f[1])?, parse("cells", i + 1, f[2])?),
-            locations: parse("cells", i + 1, f[3])?,
-            county,
+        let center = LatLng::new(parse("cells", i + 1, f[1])?, parse("cells", i + 1, f[2])?);
+        rows.cell.push(cell);
+        rows.lat_deg.push(center.lat_deg());
+        rows.lng_deg.push(center.lng_deg());
+        rows.locations.push(parse("cells", i + 1, f[3])?);
+        rows.county.push(county);
+    }
+    // Columns are sorted by cell id, each id once.
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by_key(|&i| rows.cell[i]);
+    if let Some(w) = order
+        .windows(2)
+        .find(|w| rows.cell[w[0]] == rows.cell[w[1]])
+    {
+        return Err(ImportError::DuplicateCell {
+            cell: rows.cell[w[0]].as_u64(),
         });
     }
-    cells.sort_by_key(|c| c.cell);
+    let cols = rows.select(&order);
     let us_cell_count = grid
         .polyfill(
             &crate::geography::conus_polygon(),
             leo_hexgrid::STARLINK_RESOLUTION,
         )
         .len();
-    Ok(BroadbandDataset::from_parts(
+    Ok(BroadbandDataset::from_columns(
         grid,
-        cells,
+        cols,
         us_cell_count,
         counties,
     ))
@@ -215,10 +257,10 @@ mod tests {
         let counties = counties_to_csv(&ds);
         let back = import(&cells, &counties).expect("round trip");
         assert_eq!(back.total_locations, ds.total_locations);
-        assert_eq!(back.cells.len(), ds.cells.len());
+        assert_eq!(back.cols.len(), ds.cols.len());
         assert_eq!(back.counties.len(), ds.counties.len());
         assert_eq!(back.us_cell_count, ds.us_cell_count);
-        for (a, b) in ds.cells.iter().zip(back.cells.iter()) {
+        for (a, b) in ds.cols.iter().zip(back.cols.iter()) {
             assert_eq!(a.cell, b.cell);
             assert_eq!(a.locations, b.locations);
             assert_eq!(a.county, b.county);
@@ -270,11 +312,45 @@ mod tests {
     }
 
     #[test]
+    fn rejects_duplicate_cell() {
+        let ds = small();
+        let cells = cells_to_csv(&ds);
+        // Repeat the first data row at the end of the table.
+        let first = cells.lines().nth(1).unwrap();
+        let doubled = format!("{cells}{first}\n");
+        let err = import(&doubled, &counties_to_csv(&ds)).unwrap_err();
+        assert_eq!(
+            err,
+            ImportError::DuplicateCell {
+                cell: ds.cols.cell[0].as_u64()
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_misindexed_county() {
+        let ds = small();
+        // Swap the first two county rows: ids 1, 0 at positions 0, 1.
+        let counties = counties_to_csv(&ds);
+        let mut lines: Vec<&str> = counties.lines().collect();
+        lines.swap(1, 2);
+        let swapped = lines.join("\n") + "\n";
+        let err = import(&cells_to_csv(&ds), &swapped).unwrap_err();
+        assert_eq!(
+            err,
+            ImportError::MisindexedCounty {
+                line: 2,
+                county_id: 1
+            }
+        );
+    }
+
+    #[test]
     fn csv_has_expected_shape() {
         let ds = small();
         let csv = cells_to_csv(&ds);
         let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), ds.cells.len() + 1);
+        assert_eq!(lines.len(), ds.cols.len() + 1);
         assert_eq!(lines[0], "cell_id,lat,lng,locations,county");
         assert_eq!(lines[1].split(',').count(), 5);
     }

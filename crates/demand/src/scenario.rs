@@ -9,25 +9,34 @@
 //! are shared unchanged.)
 
 use crate::counties::County;
-use crate::dataset::{BroadbandDataset, CellDemand};
+use crate::dataset::{BroadbandDataset, DatasetColumns};
 
-fn rebuild(
-    base: &BroadbandDataset,
-    cells: Vec<CellDemand>,
-    counties: Vec<County>,
-) -> BroadbandDataset {
-    BroadbandDataset::from_parts(base.grid.clone(), cells, base.us_cell_count, counties)
-}
-
-fn recount_counties(counties: &[County], cells: &[CellDemand]) -> Vec<County> {
-    let mut out: Vec<County> = counties.to_vec();
-    for c in &mut out {
+/// Rewrites every cell's count through `count` and keeps the cells
+/// whose new count is nonzero, column by column; county totals are
+/// recounted from the surviving cells. Incomes and geometry carry over.
+fn map_counts(base: &BroadbandDataset, count: impl Fn(u64) -> u64) -> BroadbandDataset {
+    let (keep, locations): (Vec<usize>, Vec<u64>) = base
+        .cols
+        .locations
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &n)| {
+            let left = count(n);
+            (left > 0).then_some((i, left))
+        })
+        .unzip();
+    let cols = DatasetColumns {
+        locations,
+        ..base.cols.select(&keep)
+    };
+    let mut counties = base.counties.clone();
+    for c in &mut counties {
         c.locations = 0;
     }
-    for cell in cells {
-        out[cell.county as usize].locations += cell.locations;
+    for (&county, &n) in cols.county.iter().zip(&cols.locations) {
+        counties[county as usize].locations += n;
     }
-    out
+    BroadbandDataset::from_columns(base.grid.clone(), cols, base.us_cell_count, counties)
 }
 
 /// Scales every cell's demand by `factor` (rounding half-up), dropping
@@ -36,19 +45,7 @@ fn recount_counties(counties: &[County], cells: &[CellDemand]) -> Vec<County> {
 /// uniformly.
 pub fn scale_demand(base: &BroadbandDataset, factor: f64) -> BroadbandDataset {
     assert!(factor >= 0.0 && factor.is_finite(), "bad scale factor");
-    let cells: Vec<CellDemand> = base
-        .cells
-        .iter()
-        .filter_map(|c| {
-            let scaled = (c.locations as f64 * factor).round() as u64;
-            (scaled > 0).then_some(CellDemand {
-                locations: scaled,
-                ..*c
-            })
-        })
-        .collect();
-    let counties = recount_counties(&base.counties, &cells);
-    rebuild(base, cells, counties)
+    map_counts(base, |n| (n as f64 * factor).round() as u64)
 }
 
 /// A fiber/fixed-wireless buildout that serves up to `per_cell`
@@ -58,19 +55,7 @@ pub fn scale_demand(base: &BroadbandDataset, factor: f64) -> BroadbandDataset {
 /// exactly the paper's diminishing-returns story from the terrestrial
 /// side.
 pub fn terrestrial_buildout(base: &BroadbandDataset, per_cell: u64) -> BroadbandDataset {
-    let cells: Vec<CellDemand> = base
-        .cells
-        .iter()
-        .filter_map(|c| {
-            let left = c.locations.saturating_sub(per_cell);
-            (left > 0).then_some(CellDemand {
-                locations: left,
-                ..*c
-            })
-        })
-        .collect();
-    let counties = recount_counties(&base.counties, &cells);
-    rebuild(base, cells, counties)
+    map_counts(base, |n| n.saturating_sub(per_cell))
 }
 
 /// Shifts every county's median income by `factor` (e.g. 1.1 = +10 %).
@@ -84,7 +69,12 @@ pub fn income_shift(base: &BroadbandDataset, factor: f64) -> BroadbandDataset {
             ..c.clone()
         })
         .collect();
-    rebuild(base, base.cells.clone(), counties)
+    BroadbandDataset::from_columns(
+        base.grid.clone(),
+        base.cols.clone(),
+        base.us_cell_count,
+        counties,
+    )
 }
 
 #[cfg(test)]
@@ -101,7 +91,7 @@ mod tests {
         let ds = base();
         let same = scale_demand(&ds, 1.0);
         assert_eq!(same.total_locations, ds.total_locations);
-        assert_eq!(same.cells.len(), ds.cells.len());
+        assert_eq!(same.cols.len(), ds.cols.len());
     }
 
     #[test]
@@ -109,8 +99,9 @@ mod tests {
         let ds = base();
         let half = scale_demand(&ds, 0.5);
         assert!(half.total_locations < ds.total_locations);
-        assert!(half.cells.len() <= ds.cells.len());
-        assert!(half.cells.iter().all(|c| c.locations > 0));
+        assert!(half.cols.is_consistent());
+        assert!(half.cols.len() <= ds.cols.len());
+        assert!(half.cols.locations.iter().all(|&n| n > 0));
         // County totals stay consistent.
         let county_total: u64 = half.counties.iter().map(|c| c.locations).sum();
         assert_eq!(county_total, half.total_locations);
@@ -122,7 +113,7 @@ mod tests {
     fn scale_to_zero_empties_the_dataset() {
         let ds = scale_demand(&base(), 0.0);
         assert_eq!(ds.total_locations, 0);
-        assert!(ds.cells.is_empty());
+        assert!(ds.cols.is_empty());
     }
 
     #[test]
@@ -131,7 +122,7 @@ mod tests {
         let built = terrestrial_buildout(&ds, 500);
         // The peak cell lost exactly 500; 1-location cells vanished.
         assert_eq!(built.peak_cell().locations, 5998 - 500);
-        assert!(built.cells.len() < ds.cells.len());
+        assert!(built.cols.len() < ds.cols.len());
         // The surviving backlog concentrates in the head: the peak
         // cell's share of remaining demand grows.
         let before = ds.peak_cell().locations as f64 / ds.total_locations as f64;

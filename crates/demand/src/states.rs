@@ -309,11 +309,11 @@ pub fn by_state(ds: &BroadbandDataset) -> Vec<StateDemand> {
     let mut locations = vec![0u64; STATES.len()];
     let mut cells = vec![0usize; STATES.len()];
     let mut income_weight = vec![0.0f64; STATES.len()];
-    for c in &ds.cells {
+    for c in ds.cols.iter() {
         let s = nearest_state(&c.center);
         locations[s] += c.locations;
         cells[s] += 1;
-        income_weight[s] += ds.cell_income(c) * c.locations as f64;
+        income_weight[s] += ds.cell_income(&c) * c.locations as f64;
     }
     let mut out: Vec<StateDemand> = (0..STATES.len())
         .filter(|&s| locations[s] > 0)
@@ -358,7 +358,7 @@ mod tests {
         let total: u64 = agg.iter().map(|s| s.locations).sum();
         assert_eq!(total, ds.total_locations);
         let cells: usize = agg.iter().map(|s| s.cells).sum();
-        assert_eq!(cells, ds.cells.len());
+        assert_eq!(cells, ds.cols.len());
         // Sorted descending.
         for w in agg.windows(2) {
             assert!(w[0].locations >= w[1].locations);

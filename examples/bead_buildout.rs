@@ -32,7 +32,7 @@ fn main() {
     );
     for per_cell in [0u64, 50, 200, 500, 1000, 2000, 3465] {
         let ds = terrestrial_buildout(&base.dataset, per_cell);
-        if ds.cells.is_empty() {
+        if ds.cols.is_empty() {
             t.row(&[
                 per_cell.to_string(),
                 "0".into(),
@@ -48,7 +48,7 @@ fn main() {
         t.row(&[
             per_cell.to_string(),
             model.dataset.total_locations.to_string(),
-            model.dataset.cells.len().to_string(),
+            model.dataset.cols.len().to_string(),
             sats.to_string(),
             format!(
                 "{} ({:.1}%)",

@@ -30,7 +30,7 @@ fn main() {
     println!(
         "dataset: {} un(der)served locations across {} demand cells ({} US cells)\n",
         model.dataset.total_locations,
-        model.dataset.cells.len(),
+        model.dataset.cols.len(),
         model.dataset.us_cell_count,
     );
 

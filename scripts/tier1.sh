@@ -40,6 +40,19 @@ for f in fig1_cdf.csv fig2_sweep.csv fig3_tail.csv fig4_affordability.csv table2
     [ -s "$out/$f" ] || { echo "[tier1] missing artifact: $f" >&2; exit 1; }
 done
 
+# Every .csv/.svg of the small-scale run is pinned by digest, including
+# the git-ignored dataset_cells.csv and fig1_map.svg that results/ does
+# not hold. A deliberate artifact change refreshes the pins with
+#   (cd OUT && sha256sum *.csv *.svg) > scripts/small_artifacts.sha256
+# after `divide --scale small all --out OUT`.
+digests="$PWD/scripts/small_artifacts.sha256"
+(cd "$out" && sha256sum --quiet --strict -c "$digests") \
+    || { echo "[tier1] small-scale artifacts differ from $digests" >&2; exit 1; }
+diff <(cd "$out" && ls -- *.csv *.svg | LC_ALL=C sort) \
+     <(awk '{print $2}' "$digests" | LC_ALL=C sort) \
+    || { echo "[tier1] small-scale artifact set differs from $digests" >&2; exit 1; }
+echo "[tier1] small-scale artifacts match scripts/small_artifacts.sha256"
+
 # orbit-validate (EXT-COV) and latency do not depend on --scale, so
 # the smoke run must reproduce the checked-in paper-scale artifacts and
 # EXT-COV tables byte for byte: a drift in the orbit kernel fails here.
@@ -222,10 +235,11 @@ diff -r --exclude run_manifest.json "$cold" "$nocache" \
     || { echo "[tier1] --no-cache artifacts differ" >&2; exit 1; }
 
 echo "[tier1] stale-schema snapshot fails closed and regenerates"
-# Rewind the on-disk dataset container to schema v1 (the little-endian
-# u32 at byte 12, after the 8-byte magic and 4-byte container version).
-# The next run must treat it as cache.invalid, regenerate byte-identical
-# artifacts, and re-save the snapshot at the current schema.
+# Rewind the on-disk dataset container to schema v2 (the little-endian
+# u32 at byte 12, after the 8-byte magic and 4-byte container version),
+# the layout that still carried a sorted-count column. The next run must
+# treat it as cache.invalid, regenerate byte-identical artifacts, and
+# re-save the snapshot at the current schema.
 python3 - "$cachedir" <<'PY'
 import glob, sys
 
@@ -233,7 +247,7 @@ snaps = glob.glob(f"{sys.argv[1]}/dataset-*.snap")
 assert snaps, "no dataset snapshot to age"
 for path in snaps:
     body = bytearray(open(path, "rb").read())
-    body[12:16] = (1).to_bytes(4, "little")
+    body[12:16] = (2).to_bytes(4, "little")
     open(path, "wb").write(bytes(body))
 PY
 stale="$(mktemp -d)"
@@ -247,7 +261,7 @@ import json, sys
 counters = json.load(open(sys.argv[1]))["metrics"]["counters"]
 assert counters.get("cache.invalid", 0) >= 1, counters
 assert counters.get("cache.bytes_written", 0) > 0, counters
-print("[tier1] v1-schema container invalidated, regenerated, re-saved")
+print("[tier1] v2-schema container invalidated, regenerated, re-saved")
 PY
 
 echo "[tier1] --trace writes a valid Chrome trace without touching artifacts"

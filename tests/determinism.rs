@@ -35,7 +35,7 @@ fn run_pipeline(threads: usize) -> PipelineOutputs {
             .map(|l| (l.position.lat_deg(), l.position.lng_deg()))
             .collect();
         let cell_counts = ds
-            .cells
+            .cols
             .iter()
             .map(|c| (c.cell.as_u64(), c.locations))
             .collect();
@@ -286,13 +286,13 @@ fn warm_snapshot_artifacts_are_bit_identical_to_cold() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The columnar-layout contract (DESIGN.md §14): the struct-of-arrays
-/// view is a bit-exact mirror of the row-major cells — at any thread
-/// count, and whether the dataset was generated cold or decoded from a
-/// schema-v2 snapshot. The hot kernels (the sensitivity fold, the peak
-/// scans) must agree with a scalar walk over the rows.
+/// The dataset contract (DESIGN.md §14): all five cell columns and
+/// every county field are bit-identical whether the dataset was
+/// generated serially, generated on 8 threads, or decoded from a
+/// schema-v3 snapshot. The unserved fold must agree with a scalar walk
+/// over the cells.
 #[test]
-fn columnar_views_mirror_rows_cold_warm_and_across_threads() {
+fn dataset_columns_and_counties_are_bit_identical_cold_warm_and_across_threads() {
     use starlink_divide_repro::cache::DatasetCache;
 
     let dir = std::env::temp_dir().join(format!("divide_determinism_cols_{}", std::process::id()));
@@ -300,32 +300,57 @@ fn columnar_views_mirror_rows_cold_warm_and_across_threads() {
     let cache = DatasetCache::new(&dir);
     let cfg = SynthConfig::small();
 
-    let check_mirror = |ds: &BroadbandDataset, label: &str| {
-        assert_eq!(ds.cols.len(), ds.cells.len(), "{label}: column length");
-        for (i, c) in ds.cells.iter().enumerate() {
-            assert_eq!(ds.cols.cell[i], c.cell, "{label}: cell id {i}");
-            assert_eq!(ds.cols.locations[i], c.locations, "{label}: count {i}");
-            assert_eq!(ds.cols.county[i], c.county, "{label}: county {i}");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let assert_same = |a: &BroadbandDataset, b: &BroadbandDataset, label: &str| {
+        assert!(b.cols.is_consistent(), "{label}: column lengths");
+        assert_eq!(a.cols.cell, b.cols.cell, "{label}: cell column");
+        assert_eq!(a.cols.locations, b.cols.locations, "{label}: count column");
+        assert_eq!(a.cols.county, b.cols.county, "{label}: county column");
+        assert_eq!(
+            bits(&a.cols.lat_deg),
+            bits(&b.cols.lat_deg),
+            "{label}: lat column"
+        );
+        assert_eq!(
+            bits(&a.cols.lng_deg),
+            bits(&b.cols.lng_deg),
+            "{label}: lng column"
+        );
+        assert_eq!(a.counties.len(), b.counties.len(), "{label}: county count");
+        for (x, y) in a.counties.iter().zip(&b.counties) {
+            let id = x.id;
+            assert_eq!(x.id, y.id, "{label}: county id");
             assert_eq!(
-                ds.cols.lat_deg[i].to_bits(),
-                c.center.lat_deg().to_bits(),
-                "{label}: lat {i}"
+                x.seat.lat_deg().to_bits(),
+                y.seat.lat_deg().to_bits(),
+                "{label}: seat lat {id}"
             );
             assert_eq!(
-                ds.cols.lng_deg[i].to_bits(),
-                c.center.lng_deg().to_bits(),
-                "{label}: lng {i}"
+                x.seat.lng_deg().to_bits(),
+                y.seat.lng_deg().to_bits(),
+                "{label}: seat lng {id}"
+            );
+            assert_eq!(
+                x.median_income_usd.to_bits(),
+                y.median_income_usd.to_bits(),
+                "{label}: income {id}"
+            );
+            assert_eq!(x.locations, y.locations, "{label}: locations {id}");
+            assert_eq!(
+                x.remoteness_km.to_bits(),
+                y.remoteness_km.to_bits(),
+                "{label}: remoteness {id}"
             );
         }
-        // Kernels vs the scalar row walk.
+        // The fold kernel vs the scalar cell walk.
         for limit in [0u64, 61, 3_465, u64::MAX] {
-            let scalar: u64 = ds
-                .cells
+            let scalar: u64 = b
+                .cols
                 .iter()
                 .map(|c| c.locations.saturating_sub(limit))
                 .sum();
             assert_eq!(
-                ds.cols.unserved_above(limit),
+                b.cols.unserved_above(limit),
                 scalar,
                 "{label}: unserved_above({limit})"
             );
@@ -333,21 +358,12 @@ fn columnar_views_mirror_rows_cold_warm_and_across_threads() {
     };
 
     let cold = with_threads(1, || BroadbandDataset::generate(&cfg));
-    check_mirror(&cold, "cold serial");
+    assert_same(&cold, &cold, "cold serial");
     let cold_8 = with_threads(8, || BroadbandDataset::generate(&cfg));
-    check_mirror(&cold_8, "cold 8-thread");
+    assert_same(&cold, &cold_8, "cold 8-thread");
     let _seed = cache.load_or_generate(&cfg); // seeds the snapshot
-    let warm = cache.load_or_generate(&cfg); // decodes schema v2
-    check_mirror(&warm, "warm decode");
-    assert_eq!(cold.cols.cell, warm.cols.cell, "warm cell column diverged");
-    assert_eq!(
-        cold.cols.locations, warm.cols.locations,
-        "warm count column diverged"
-    );
-    for (a, b) in cold.cols.lat_deg.iter().zip(warm.cols.lat_deg.iter()) {
-        assert_eq!(a.to_bits(), b.to_bits(), "warm lat column diverged");
-    }
-    assert_eq!(cold.cols.cell, cold_8.cols.cell, "thread count leaked");
+    let warm = cache.load_or_generate(&cfg); // decodes schema v3
+    assert_same(&cold, &warm, "warm decode");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
