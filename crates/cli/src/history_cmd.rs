@@ -1,33 +1,54 @@
-//! `divide history` — trend tables and the median-based regression
-//! gate over the run-history ledger.
+//! `divide history` and `divide report` — one comparator over the flat
+//! run record.
 //!
-//! Where `divide report` diffs exactly two records pairwise, `history`
-//! reads the append-only `runs.jsonl` ledger (`leo-obs/run-ledger/v2`,
-//! see `leo_obs::ledger`), filters it to runs *comparable* with the
-//! newest one (same command, scale, and thread count), and renders one
-//! trend row per metric — per-stage and total wall-clock, per-stage
-//! pool busy time and chunk counts, per-stage and run-level peak heap,
-//! peak RSS — with min/median/max over the window, an ASCII sparkline,
-//! and the newest run's delta against the **median of its
-//! predecessors**. A median baseline makes the gate robust to a single
-//! outlier run in either direction, which pairwise diffing is not.
+//! Both commands read records of one schema, `leo-obs/run-ledger/v2`
+//! (see `leo_obs::ledger`): the lines of the append-only `runs.jsonl`
+//! ledger, or the files `--metrics-out` writes. Both render the same
+//! trend table over a window of runs, oldest first, and gate its
+//! newest run against the **median of its predecessors**:
 //!
-//! Records from older schemas (`v1` lacked the per-stage parallel
-//! fields) are skipped by the exact-schema filter, the same way
-//! corrupt lines are — an old ledger never breaks `history`, it just
-//! shrinks the window.
+//! * `history` reads the ledger, filters it to runs *comparable* with
+//!   the newest one (same command, scale, and thread count), and takes
+//!   up to `--last` predecessors. A median baseline makes the gate
+//!   robust to a single outlier run in either direction.
+//! * `report --baseline A --candidate B` takes the window `[A, B]`. The
+//!   prior median of one record is that record, and no identity filter
+//!   applies: the user chose the pair.
 //!
-//! Exit codes mirror `report`: 0 ok (including "not enough history to
-//! judge"), 3 when any metric regressed beyond `--max-regress-pct`,
-//! 1 on IO/parse errors, 2 on usage errors (handled by the caller).
+//! One row per metric: per-stage and total wall-clock, total CPU time,
+//! per-stage pool busy time and chunk counts, per-stage and run-level
+//! peak heap, peak RSS, and every counter whose value changed within
+//! the window. Each row shows min/median/max over the window, an ASCII
+//! sparkline, and the newest run's delta against the prior median.
+//! Counts (chunks, counters) measure work shape, not speed, so they
+//! never gate.
+//!
+//! Records from other schemas are skipped by `history`'s exact-schema
+//! filter, the same way corrupt lines are — an old ledger never breaks
+//! `history`, it just shrinks the window. `report` rejects them.
+//!
+//! Exit codes: 0 ok (including "not enough history to judge"), 3 when
+//! any metric regressed beyond `--max-regress-pct`, 1 on IO/parse
+//! errors, 2 on usage errors (handled by the caller).
 
 use leo_obs::json::Json;
 use leo_obs::ledger;
 use leo_report::{sparkline, TextTable};
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
 /// Exit code when at least one metric regressed beyond the threshold.
 pub const EXIT_REGRESSED: i32 = 3;
+
+/// The regression gate's thresholds, shared by `history` and `report`.
+pub struct Gate {
+    /// A metric regresses when the newest run exceeds the prior
+    /// median by more than this percentage.
+    pub max_regress_pct: f64,
+    /// Wall-clock metrics below this in both newest and median never
+    /// gate.
+    pub min_wall_ms: f64,
+}
 
 /// Parsed `divide history` options.
 pub struct HistoryOpts {
@@ -37,12 +58,8 @@ pub struct HistoryOpts {
     /// Window size: the newest run gates against the median of up to
     /// this many predecessors.
     pub last: usize,
-    /// A metric regresses when the newest run exceeds the prior
-    /// median by more than this percentage.
-    pub max_regress_pct: f64,
-    /// Wall-clock metrics below this in both newest and median never
-    /// gate.
-    pub min_wall_ms: f64,
+    /// The gate thresholds.
+    pub gate: Gate,
 }
 
 /// Memory metrics below these floors never gate: at a few hundred kB
@@ -57,16 +74,16 @@ enum Unit {
     Ms,
     Bytes,
     Kb,
-    /// Dimensionless counts (pool chunks). Trended for context but
-    /// never gated: a chunk-count change tracks workload shape, not a
-    /// performance regression — hence the infinite floor.
+    /// Dimensionless counts (pool chunks, counters). Trended for
+    /// context but never gated: a count change tracks workload shape,
+    /// not a performance regression — hence the infinite floor.
     Count,
 }
 
 impl Unit {
-    fn floor(self, opts: &HistoryOpts) -> f64 {
+    fn floor(self, gate: &Gate) -> f64 {
         match self {
-            Unit::Ms => opts.min_wall_ms,
+            Unit::Ms => gate.min_wall_ms,
             Unit::Bytes => MIN_HEAP_BYTES,
             Unit::Kb => MIN_RSS_KB,
             Unit::Count => f64::INFINITY,
@@ -96,7 +113,7 @@ impl Unit {
     }
 }
 
-/// One trend row: a metric's value in each comparable run, oldest
+/// One trend row: a metric's value in each run of the window, oldest
 /// first (NaN where a run lacks the field).
 struct Metric {
     name: String,
@@ -116,72 +133,97 @@ fn top_field(rec: &Json, field: &str) -> f64 {
     rec.get(field).and_then(Json::as_f64).unwrap_or(f64::NAN)
 }
 
-/// The stage names of a record, in ledger (insertion) order.
-fn stage_names(rec: &Json) -> Vec<String> {
-    match rec.get("stages") {
+/// The keys of a record's `field` object, in record order.
+fn keys(rec: &Json, field: &str) -> Vec<String> {
+    match rec.get(field) {
         Some(Json::Obj(fields)) => fields.iter().map(|(name, _)| name.clone()).collect(),
         _ => Vec::new(),
     }
 }
 
-/// Builds the metric rows for `runs` (comparable, oldest first). The
-/// newest run's stages define which per-stage rows exist; memory rows
-/// appear only where some run actually measured them.
+/// Builds the metric rows for `runs` (the window, oldest first). The
+/// newest run's stages come first, in its execution order, then any
+/// stage only an older run has; memory and CPU rows appear only where
+/// some run measured them, counter rows only where a counter changed.
 fn metrics_of(runs: &[&Json]) -> Vec<Metric> {
     let newest = runs.last().expect("at least one run");
-    let mut metrics = Vec::new();
+    let mut stages = keys(newest, "stages");
+    for run in runs {
+        for stage in keys(run, "stages") {
+            if !stages.contains(&stage) {
+                stages.push(stage);
+            }
+        }
+    }
     let column = |f: &dyn Fn(&Json) -> f64| runs.iter().map(|r| f(r)).collect::<Vec<f64>>();
-    for stage in stage_names(newest) {
-        metrics.push(Metric {
-            name: format!("{stage} wall"),
-            unit: Unit::Ms,
-            values: column(&|r| stage_field(r, &stage, "wall_ms")),
+    let mut metrics = Vec::new();
+    let mut push_measured = |name: String, unit: Unit, values: Vec<f64>| {
+        if values.iter().any(|v| v.is_finite()) {
+            metrics.push(Metric { name, unit, values });
+        }
+    };
+    for stage in &stages {
+        push_measured(
+            format!("{stage} wall"),
+            Unit::Ms,
+            column(&|r| stage_field(r, stage, "wall_ms")),
+        );
+    }
+    push_measured(
+        "total wall".to_string(),
+        Unit::Ms,
+        column(&|r| top_field(r, "wall_ms")),
+    );
+    push_measured(
+        "total cpu".to_string(),
+        Unit::Ms,
+        column(&|r| top_field(r, "cpu_ms")),
+    );
+    // Per-stage parallel-efficiency rows: pool busy time gates like
+    // any wall metric, chunk counts only trend.
+    for stage in &stages {
+        push_measured(
+            format!("{stage} par busy"),
+            Unit::Ms,
+            column(&|r| stage_field(r, stage, "busy_ns") / 1e6),
+        );
+        push_measured(
+            format!("{stage} par chunks"),
+            Unit::Count,
+            column(&|r| stage_field(r, stage, "chunks")),
+        );
+    }
+    for stage in &stages {
+        push_measured(
+            format!("{stage} peak heap"),
+            Unit::Bytes,
+            column(&|r| stage_field(r, stage, "peak_heap_delta")),
+        );
+    }
+    push_measured(
+        "run peak heap".to_string(),
+        Unit::Bytes,
+        column(&|r| top_field(r, "peak_heap_bytes")),
+    );
+    push_measured(
+        "run peak rss".to_string(),
+        Unit::Kb,
+        column(&|r| top_field(r, "peak_rss_kb")),
+    );
+    // Counters that changed within the window, for context. A counter
+    // one run lacks counts as changed.
+    let counters: BTreeSet<String> = runs.iter().flat_map(|r| keys(r, "counters")).collect();
+    for name in counters {
+        let values = column(&|r| {
+            r.get("counters")
+                .and_then(|c| c.get(&name))
+                .and_then(Json::as_f64)
+                .unwrap_or(f64::NAN)
         });
-    }
-    metrics.push(Metric {
-        name: "total wall".to_string(),
-        unit: Unit::Ms,
-        values: column(&|r| top_field(r, "wall_ms")),
-    });
-    // Per-stage parallel-efficiency rows (v2 ledger fields): pool busy
-    // time gates like any wall metric, chunk counts only trend.
-    for stage in stage_names(newest) {
-        let busy = column(&|r| stage_field(r, &stage, "busy_ns") / 1e6);
-        if busy.iter().any(|v| v.is_finite()) {
+        if values.iter().any(|v| v.to_bits() != values[0].to_bits()) {
             metrics.push(Metric {
-                name: format!("{stage} par busy"),
-                unit: Unit::Ms,
-                values: busy,
-            });
-        }
-        let chunks = column(&|r| stage_field(r, &stage, "chunks"));
-        if chunks.iter().any(|v| v.is_finite()) {
-            metrics.push(Metric {
-                name: format!("{stage} par chunks"),
+                name,
                 unit: Unit::Count,
-                values: chunks,
-            });
-        }
-    }
-    for stage in stage_names(newest) {
-        let values = column(&|r| stage_field(r, &stage, "peak_heap_delta"));
-        if values.iter().any(|v| v.is_finite()) {
-            metrics.push(Metric {
-                name: format!("{stage} peak heap"),
-                unit: Unit::Bytes,
-                values,
-            });
-        }
-    }
-    for (name, field, unit) in [
-        ("run peak heap", "peak_heap_bytes", Unit::Bytes),
-        ("run peak rss", "peak_rss_kb", Unit::Kb),
-    ] {
-        let values = column(&|r| top_field(r, field));
-        if values.iter().any(|v| v.is_finite()) {
-            metrics.push(Metric {
-                name: name.to_string(),
-                unit,
                 values,
             });
         }
@@ -199,6 +241,89 @@ fn median(sorted: &[f64]) -> f64 {
     } else {
         (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
     }
+}
+
+/// Renders the trend table of `runs` (oldest first, at least one) under
+/// `title` and returns how many metrics regressed: the newest value
+/// exceeds the median of its predecessors by more than the gate's
+/// percentage, and it or the median sits at or above the unit's floor.
+fn compare(title: String, runs: &[&Json], gate: &Gate) -> usize {
+    let mut table = TextTable::new(
+        title,
+        &[
+            "metric",
+            "unit",
+            "runs",
+            "min",
+            "median",
+            "max",
+            "newest",
+            "vs median",
+            "trend",
+            "status",
+        ],
+    );
+    let mut regressed = 0usize;
+    for metric in metrics_of(runs) {
+        let newest_v = *metric.values.last().expect("window non-empty");
+        let mut prior: Vec<f64> = metric.values[..metric.values.len() - 1]
+            .iter()
+            .copied()
+            .filter(|v| v.is_finite())
+            .collect();
+        prior.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let med = median(&prior);
+        let finite: Vec<f64> = metric
+            .values
+            .iter()
+            .copied()
+            .filter(|v| v.is_finite())
+            .collect();
+        let min = finite.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = finite.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let floor = metric.unit.floor(gate);
+        let pct = if med > 0.0 {
+            100.0 * (newest_v - med) / med
+        } else {
+            0.0
+        };
+        let (delta, status) = if !newest_v.is_finite() {
+            ("-".to_string(), "no data")
+        } else if prior.is_empty() {
+            ("-".to_string(), "new")
+        } else if newest_v < floor && med < floor {
+            let status = if floor.is_finite() {
+                "below floor"
+            } else {
+                "not gated"
+            };
+            (format!("{pct:+.1}%"), status)
+        } else {
+            let status = if pct > gate.max_regress_pct {
+                regressed += 1;
+                "REGRESSED"
+            } else if pct < -gate.max_regress_pct {
+                "improved"
+            } else {
+                "ok"
+            };
+            (format!("{pct:+.1}%"), status)
+        };
+        table.row(&[
+            metric.name.clone(),
+            metric.unit.label().to_string(),
+            finite.len().to_string(),
+            metric.unit.fmt(min),
+            metric.unit.fmt(med),
+            metric.unit.fmt(max),
+            metric.unit.fmt(newest_v),
+            delta,
+            sparkline(&metric.values),
+            status.to_string(),
+        ]);
+    }
+    print!("{}", table.render());
+    regressed
 }
 
 /// A short identity string for the header: command/scale/threads of
@@ -224,7 +349,7 @@ fn same_identity(a: &Json, b: &Json) -> bool {
 }
 
 /// Runs `divide history`; returns the process exit code.
-pub fn run(opts: &HistoryOpts) -> i32 {
+pub fn history(opts: &HistoryOpts) -> i32 {
     let all = match ledger::read(&opts.ledger) {
         Ok(records) => records,
         Err(e) => {
@@ -252,103 +377,72 @@ pub fn run(opts: &HistoryOpts) -> i32 {
     let window_start = comparable.len().saturating_sub(opts.last + 1);
     let runs = &comparable[window_start..];
 
-    let mut table = TextTable::new(
-        format!(
-            "divide history: {} — {} over {} run(s){} (gate: newest > prior median +{:.0}%)",
-            opts.ledger.display(),
-            identity(newest),
-            runs.len(),
-            if skipped > 0 {
-                format!(", {skipped} other run(s) ignored")
-            } else {
-                String::new()
-            },
-            opts.max_regress_pct,
-        ),
-        &[
-            "metric",
-            "unit",
-            "runs",
-            "min",
-            "median",
-            "max",
-            "newest",
-            "vs median",
-            "trend",
-            "status",
-        ],
-    );
-
-    let mut regressed = 0usize;
-    let gate_possible = runs.len() >= 2;
-    for metric in metrics_of(runs) {
-        let newest_v = *metric.values.last().expect("window non-empty");
-        let mut prior: Vec<f64> = metric.values[..metric.values.len() - 1]
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .collect();
-        prior.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let med = median(&prior);
-        let finite: Vec<f64> = metric
-            .values
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .collect();
-        let min = finite.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = finite.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let floor = metric.unit.floor(opts);
-        let (delta, status) = if !newest_v.is_finite() {
-            ("-".to_string(), "no data")
-        } else if prior.is_empty() {
-            ("-".to_string(), "first run")
-        } else if newest_v < floor && med < floor {
-            let pct = if med > 0.0 {
-                100.0 * (newest_v - med) / med
-            } else {
-                0.0
-            };
-            (format!("{pct:+.1}%"), "below floor")
+    let title = format!(
+        "divide history: {} — {} over {} run(s){} (gate: newest > prior median +{:.0}%)",
+        opts.ledger.display(),
+        identity(newest),
+        runs.len(),
+        if skipped > 0 {
+            format!(", {skipped} other run(s) ignored")
         } else {
-            let pct = if med > 0.0 {
-                100.0 * (newest_v - med) / med
-            } else {
-                0.0
-            };
-            let status = if pct > opts.max_regress_pct {
-                regressed += 1;
-                "REGRESSED"
-            } else if pct < -opts.max_regress_pct {
-                "improved"
-            } else {
-                "ok"
-            };
-            (format!("{pct:+.1}%"), status)
-        };
-        table.row(&[
-            metric.name.clone(),
-            metric.unit.label().to_string(),
-            finite.len().to_string(),
-            metric.unit.fmt(min),
-            metric.unit.fmt(med),
-            metric.unit.fmt(max),
-            metric.unit.fmt(newest_v),
-            delta,
-            sparkline(&metric.values),
-            status.to_string(),
-        ]);
-    }
-    print!("{}", table.render());
+            String::new()
+        },
+        opts.gate.max_regress_pct,
+    );
+    let regressed = compare(title, runs, &opts.gate);
 
-    if !gate_possible {
+    if runs.len() < 2 {
         println!("divide history: fewer than 2 comparable runs — nothing to gate against");
         return 0;
     }
     if regressed > 0 {
         eprintln!(
             "divide history: {regressed} metric(s) regressed beyond +{:.0}% of the prior median",
-            opts.max_regress_pct
+            opts.gate.max_regress_pct
+        );
+        EXIT_REGRESSED
+    } else {
+        0
+    }
+}
+
+/// Loads one run record (a `--metrics-out` file) and checks its schema.
+fn load_record(path: &Path) -> Result<Json, String> {
+    let body = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let doc = Json::parse(&body).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
+    match doc.get("schema").and_then(Json::as_str) {
+        Some(ledger::SCHEMA) => Ok(doc),
+        other => Err(format!(
+            "{}: unsupported schema {:?} (expected a {} run record, as --metrics-out writes)",
+            path.display(),
+            other.unwrap_or(""),
+            ledger::SCHEMA
+        )),
+    }
+}
+
+/// Runs `divide report`: the history table and gate over the window
+/// `[baseline, candidate]`. Returns the process exit code.
+pub fn report(baseline: &Path, candidate: &Path, gate: &Gate) -> i32 {
+    let (base, cand) = match (load_record(baseline), load_record(candidate)) {
+        (Ok(b), Ok(c)) => (b, c),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("divide report: {e}");
+            return 1;
+        }
+    };
+    let title = format!(
+        "divide report: {} -> {} (gate: candidate > baseline +{:.0}%)",
+        baseline.display(),
+        candidate.display(),
+        gate.max_regress_pct,
+    );
+    let regressed = compare(title, &[&base, &cand], gate);
+    if regressed > 0 {
+        eprintln!(
+            "divide report: {regressed} metric(s) regressed beyond +{:.0}% of the baseline",
+            gate.max_regress_pct
         );
         EXIT_REGRESSED
     } else {
@@ -359,6 +453,11 @@ pub fn run(opts: &HistoryOpts) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const GATE: Gate = Gate {
+        max_regress_pct: 10.0,
+        min_wall_ms: 0.0,
+    };
 
     #[test]
     fn median_of_even_and_odd_windows() {
@@ -459,12 +558,7 @@ mod tests {
             .expect("chunks row");
         assert_eq!(chunks.values, vec![4.0, 4.0]);
         assert!(
-            chunks.unit.floor(&HistoryOpts {
-                ledger: PathBuf::new(),
-                last: 10,
-                max_regress_pct: 10.0,
-                min_wall_ms: 0.0,
-            }) == f64::INFINITY,
+            chunks.unit.floor(&GATE) == f64::INFINITY,
             "chunk counts never gate"
         );
         // Records without the fields (an all-serial run) grow no rows.
@@ -473,6 +567,39 @@ mod tests {
         assert!(!metrics_of(&only)
             .iter()
             .any(|m| m.name.contains("par busy") || m.name.contains("par chunks")));
+    }
+
+    #[test]
+    fn counter_rows_appear_only_when_a_counter_changed_and_never_gate() {
+        let with_counters = |counters: Json| rec("all", 100.0, 1).set("counters", counters);
+        let steady = || {
+            Json::obj()
+                .set("cache.hit", 1u64)
+                .set("io.write_calls", 40u64)
+        };
+        let a = with_counters(steady());
+        let b = with_counters(steady());
+        // A counter that only the newest run has counts as changed.
+        let c = with_counters(
+            Json::obj()
+                .set("cache.hit", 1u64)
+                .set("fault.injected", 2u64)
+                .set("io.write_calls", 400u64),
+        );
+        let steady = metrics_of(&[&a, &b]);
+        assert!(
+            steady.iter().all(|m| m.unit != Unit::Count),
+            "no counter rows when nothing changed"
+        );
+        let changed = metrics_of(&[&a, &b, &c]);
+        let rows: Vec<&str> = changed
+            .iter()
+            .filter(|m| m.unit == Unit::Count)
+            .map(|m| m.name.as_str())
+            .collect();
+        assert_eq!(rows, vec!["fault.injected", "io.write_calls"]);
+        // A tenfold counter jump is context, not a regression.
+        assert_eq!(compare("counters".to_string(), &[&a, &b, &c], &GATE), 0);
     }
 
     #[test]
@@ -492,11 +619,10 @@ mod tests {
         writeln!(file, "{{\"truncated\": tr").unwrap();
         writeln!(file, "{}", rec_par(100.0, 40_000_000, 4).render()).unwrap();
         drop(file);
-        let code = run(&HistoryOpts {
+        let code = history(&HistoryOpts {
             ledger: path,
             last: 10,
-            max_regress_pct: 10.0,
-            min_wall_ms: 0.0,
+            gate: GATE,
         });
         assert_eq!(code, 0, "a lone v2 run gates against nothing");
         let _ = std::fs::remove_dir_all(&dir);

@@ -27,7 +27,7 @@
 //!   timeline        launch-cadence deployment timeline (extension)
 //!   export          dataset CSV export
 //!   all             everything above
-//!   report          diff two run manifests; exit 3 on perf regression
+//!   report          compare two run records; exit 3 on perf regression
 //!   history         trend tables over the run ledger; exit 3 on
 //!                   regression vs the prior median
 //! ```
@@ -41,7 +41,6 @@
 
 mod checkpoint;
 mod history_cmd;
-mod report_cmd;
 
 use leo_cache::DatasetCache;
 use leo_demand::{BroadbandDataset, SynthConfig};
@@ -89,7 +88,8 @@ options:
                        $DIVIDE_CACHE, else <out>/.divide-cache);
                        artifacts are byte-identical warm or cold
   --no-cache           always regenerate; read and write no snapshots
-  --metrics-out FILE   write a flat JSON bench record of the run
+  --metrics-out FILE   write the run's flat JSON record (the record
+                       the run ledger appends; works with DIVIDE_OBS=off)
   --trace[=FILE]       record a timeline and write a Chrome trace
                        (default <out>/trace.json, Perfetto-loadable)
                        plus folded flamegraph stacks (trace.folded);
@@ -110,11 +110,13 @@ options:
   -h, --help           print this help and exit
 
 report options:
-  --baseline FILE      'before' manifest or bench record (required)
-  --candidate FILE     'after' manifest or bench record (required)
-  --max-regress-pct P  fail when a stage slows by more than P% (20)
-  --min-wall-ms MS     ignore stages faster than MS in both runs (5)
-  --report-csv FILE    also write the comparison table as CSV
+  --baseline FILE      'before' run record, as --metrics-out writes it
+                       (required)
+  --candidate FILE     'after' run record (required)
+  --max-regress-pct P  fail when a metric exceeds the baseline by more
+                       than P% (20)
+  --min-wall-ms MS     wall-clock floor below which metrics never
+                       gate (5)
 
 history options:
   --ledger FILE        run ledger to read (default: runs.jsonl in the
@@ -171,8 +173,8 @@ commands:
   timeline        launch-cadence deployment timeline (extension)
   export          dataset CSV export
   all             everything above
-  report          diff two run manifests / bench records; exit 3 on
-                  perf regression (see report options)
+  report          the history table and gate over two run records;
+                  exit 3 on perf regression (see report options)
   history         per-stage wall/memory trend tables over the run
                   ledger; exit 3 when the newest run regresses vs the
                   prior median (see history options)";
@@ -205,12 +207,11 @@ fn main() {
     let mut progress = false;
     let mut fault_spec: Option<String> = None;
     let mut resume = false;
-    let mut report = report_cmd::ReportOpts {
-        baseline: PathBuf::new(),
-        candidate: PathBuf::new(),
+    let mut baseline: Option<PathBuf> = None;
+    let mut candidate: Option<PathBuf> = None;
+    let mut gate = history_cmd::Gate {
         max_regress_pct: 20.0,
         min_wall_ms: 5.0,
-        csv_out: None,
     };
     let mut ledger_flag: Option<PathBuf> = None;
     let mut history_last: usize = 10;
@@ -258,23 +259,23 @@ fn main() {
             }
             "--resume" => resume = true,
             "--baseline" => {
-                report.baseline = PathBuf::from(
+                baseline = Some(PathBuf::from(
                     args.next()
                         .unwrap_or_else(|| usage("--baseline needs a value")),
-                )
+                ))
             }
             "--candidate" => {
-                report.candidate = PathBuf::from(
+                candidate = Some(PathBuf::from(
                     args.next()
                         .unwrap_or_else(|| usage("--candidate needs a value")),
-                )
+                ))
             }
             "--max-regress-pct" => {
                 let v = args
                     .next()
                     .unwrap_or_else(|| usage("--max-regress-pct needs a value"));
                 match v.parse::<f64>() {
-                    Ok(p) if p.is_finite() && p >= 0.0 => report.max_regress_pct = p,
+                    Ok(p) if p.is_finite() && p >= 0.0 => gate.max_regress_pct = p,
                     _ => usage("--max-regress-pct expects a non-negative number"),
                 }
             }
@@ -283,15 +284,9 @@ fn main() {
                     .next()
                     .unwrap_or_else(|| usage("--min-wall-ms needs a value"));
                 match v.parse::<f64>() {
-                    Ok(ms) if ms.is_finite() && ms >= 0.0 => report.min_wall_ms = ms,
+                    Ok(ms) if ms.is_finite() && ms >= 0.0 => gate.min_wall_ms = ms,
                     _ => usage("--min-wall-ms expects a non-negative number"),
                 }
-            }
-            "--report-csv" => {
-                report.csv_out = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| usage("--report-csv needs a value")),
-                ))
             }
             "--ledger" => {
                 ledger_flag = Some(PathBuf::from(
@@ -354,13 +349,9 @@ fn main() {
     // `report` only reads two JSON records — no dataset, no output
     // directory, no instrumentation of its own.
     if command == "report" {
-        if report.baseline.as_os_str().is_empty() {
-            usage("report needs --baseline FILE");
-        }
-        if report.candidate.as_os_str().is_empty() {
-            usage("report needs --candidate FILE");
-        }
-        std::process::exit(report_cmd::run(&report));
+        let baseline = baseline.unwrap_or_else(|| usage("report needs --baseline FILE"));
+        let candidate = candidate.unwrap_or_else(|| usage("report needs --candidate FILE"));
+        std::process::exit(history_cmd::report(&baseline, &candidate, &gate));
     }
     // `history` likewise: it only reads the ledger. The ledger path
     // defaults to runs.jsonl in whatever cache directory a normal run
@@ -375,11 +366,10 @@ fn main() {
         }) else {
             usage("history needs --ledger FILE when caching and DIVIDE_LEDGER are both disabled");
         };
-        std::process::exit(history_cmd::run(&history_cmd::HistoryOpts {
+        std::process::exit(history_cmd::history(&history_cmd::HistoryOpts {
             ledger: path,
             last: history_last,
-            max_regress_pct: report.max_regress_pct,
-            min_wall_ms: report.min_wall_ms,
+            gate,
         }));
     }
     // Fault injection: the --fault-plan flag wins, then $DIVIDE_FAULT.
@@ -591,15 +581,17 @@ fn main() {
     // (counted via leo_fault::degrade) land in its `degraded` section.
     // None of them can fail the run: the artifacts themselves already
     // landed, and a dead ledger/trace/metrics file degrades
-    // bookkeeping, not results.
-    if leo_obs::enabled() {
+    // bookkeeping, not results. The ledger line and the --metrics-out
+    // file are one record, built once; only observed runs append.
+    let ledger_path = ledger_path.filter(|_| leo_obs::enabled());
+    if ledger_path.is_some() || metrics_out.is_some() {
+        let ts = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_secs())
+            .unwrap_or(0);
+        let git = leo_obs::ledger::git_describe();
+        let record = leo_obs::ledger::build_record(&info, wall_ms, ts, git.as_deref());
         if let Some(path) = &ledger_path {
-            let ts = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0);
-            let git = leo_obs::ledger::git_describe();
-            let record = leo_obs::ledger::build_record(&info, wall_ms, ts, git.as_deref());
             match leo_obs::ledger::append(path, &record) {
                 Ok(()) => leo_obs::log_info!("appended run to {}", path.display()),
                 Err(e) => {
@@ -608,13 +600,13 @@ fn main() {
                 }
             }
         }
-    }
-    if let Some(path) = metrics_out {
-        match manifest::write_json(&path, &manifest::bench_record(&info, wall_ms)) {
-            Ok(()) => leo_obs::log_info!("wrote {}", path.display()),
-            Err(e) => {
-                leo_obs::log_warn!("cannot write {}: {e}", path.display());
-                leo_fault::degrade("metrics", &e.to_string());
+        if let Some(path) = &metrics_out {
+            match manifest::write_json(path, &record) {
+                Ok(()) => leo_obs::log_info!("wrote {}", path.display()),
+                Err(e) => {
+                    leo_obs::log_warn!("cannot write {}: {e}", path.display());
+                    leo_fault::degrade("metrics", &e.to_string());
+                }
             }
         }
     }

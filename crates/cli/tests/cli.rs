@@ -24,15 +24,15 @@ fn run(cmd: &mut Command) -> Output {
     cmd.output().expect("spawn divide")
 }
 
-/// A hand-built run manifest with exactly the fields `report` reads.
-fn manifest_json(dataset_ms: f64, table1_ms: f64, hits: u64) -> String {
+/// A hand-built run record (`leo-obs/run-ledger/v2`, as `--metrics-out`
+/// writes it) with two stages and one counter.
+fn record_json(dataset_ms: f64, table1_ms: f64, hits: u64) -> String {
     format!(
         concat!(
-            "{{\"schema\":\"leo-obs/run-manifest/v1\",\"wall_ms\":{},",
-            "\"stages\":[",
-            "{{\"name\":\"dataset\",\"wall_ms\":{},\"calls\":1}},",
-            "{{\"name\":\"table1\",\"wall_ms\":{},\"calls\":1}}],",
-            "\"metrics\":{{\"counters\":{{\"cache.hit\":{}}}}}}}"
+            "{{\"schema\":\"leo-obs/run-ledger/v2\",\"command\":\"all\",",
+            "\"scale\":\"small\",\"threads\":2,\"wall_ms\":{},",
+            "\"stages\":{{\"dataset\":{{\"wall_ms\":{}}},\"table1\":{{\"wall_ms\":{}}}}},",
+            "\"counters\":{{\"cache.hit\":{}}}}}"
         ),
         dataset_ms + table1_ms,
         dataset_ms,
@@ -51,17 +51,22 @@ fn report_exit_codes_cover_ok_regression_io_and_usage() {
     let base = dir.join("base.json");
     let ok = dir.join("ok.json");
     let slow = dir.join("slow.json");
-    write(&base, &manifest_json(400.0, 120.0, 1));
+    write(&base, &record_json(400.0, 120.0, 1));
     // +10% stays under the default +20% gate.
-    write(&ok, &manifest_json(440.0, 120.0, 1));
+    write(&ok, &record_json(440.0, 120.0, 1));
     // The dataset stage triples: regression.
-    write(&slow, &manifest_json(1200.0, 120.0, 0));
+    write(&slow, &record_json(1200.0, 120.0, 0));
 
-    let out = run(divide()
-        .args(["report", "--baseline"])
-        .arg(&base)
-        .arg("--candidate")
-        .arg(&ok));
+    let report = |baseline: &Path, candidate: &Path| {
+        let mut c = divide();
+        c.args(["report", "--baseline"])
+            .arg(baseline)
+            .arg("--candidate")
+            .arg(candidate);
+        c
+    };
+
+    let out = run(&mut report(&base, &ok));
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -70,45 +75,119 @@ fn report_exit_codes_cover_ok_regression_io_and_usage() {
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(stdout.contains("dataset"), "table lists stages: {stdout}");
     assert!(!stdout.contains("REGRESSED"), "no regression row: {stdout}");
+    assert!(
+        !stdout.contains("cache.hit"),
+        "unchanged counters stay out of the table: {stdout}"
+    );
 
-    let csv_path = dir.join("report.csv");
-    let out = run(divide()
-        .args(["report", "--baseline"])
-        .arg(&base)
-        .arg("--candidate")
-        .arg(&slow)
-        .arg("--report-csv")
-        .arg(&csv_path));
+    let out = run(&mut report(&base, &slow));
     assert_eq!(out.status.code(), Some(3), "regression must exit 3");
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(stdout.contains("REGRESSED"), "regression flagged: {stdout}");
-    // Counters that differ show up in the context table.
+    // Counters that differ show up as never-gating rows.
     assert!(
         stdout.contains("cache.hit"),
         "changed counter shown: {stdout}"
     );
-    let csv = std::fs::read_to_string(&csv_path).expect("csv written");
-    assert!(csv.starts_with("stage,baseline_ms,candidate_ms"));
-    assert!(csv.contains("REGRESSED"));
 
     // A generous threshold lets the same pair pass.
-    let out = run(divide()
-        .args(["report", "--baseline"])
-        .arg(&base)
-        .arg("--candidate")
-        .arg(&slow)
-        .args(["--max-regress-pct", "500"]));
+    let out = run(report(&base, &slow).args(["--max-regress-pct", "500"]));
     assert_eq!(out.status.code(), Some(0), "threshold is respected");
+    // So does a wall-clock floor above every stage.
+    let out = run(report(&base, &slow).args(["--min-wall-ms", "5000"]));
+    assert_eq!(out.status.code(), Some(0), "floor is respected");
 
-    let out = run(divide()
-        .args(["report", "--baseline"])
-        .arg(dir.join("missing.json"))
-        .arg("--candidate")
-        .arg(&ok));
+    let out = run(&mut report(&dir.join("missing.json"), &ok));
     assert_eq!(out.status.code(), Some(1), "unreadable input must exit 1");
+
+    // Records of any other schema are rejected, not half-read.
+    let bench_v1 = dir.join("bench_v1.json");
+    write(
+        &bench_v1,
+        concat!(
+            "{\"schema\":\"leo-obs/bench/v1\",\"wall_ms\":520,",
+            "\"stages\":{\"dataset\":400},\"counters\":{}}"
+        ),
+    );
+    let manifest = dir.join("run_manifest.json");
+    write(
+        &manifest,
+        concat!(
+            "{\"schema\":\"leo-obs/run-manifest/v1\",\"wall_ms\":520,",
+            "\"stages\":[{\"name\":\"dataset\",\"wall_ms\":400,\"calls\":1}]}"
+        ),
+    );
+    for other in [&bench_v1, &manifest] {
+        let out = run(&mut report(&base, other));
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{} is not a run record",
+            other.display()
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(stderr.contains("unsupported schema"), "{stderr}");
+    }
 
     let out = run(divide().args(["report", "--candidate"]).arg(&ok));
     assert_eq!(out.status.code(), Some(2), "missing --baseline is usage");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn metrics_out_writes_the_runs_ledger_record() {
+    let dir = tmp("metrics_out");
+    let cache = dir.join("cache");
+    let metrics = dir.join("record.json");
+    let out = run(divide()
+        .args(["--scale", "small", "--out"])
+        .arg(&dir)
+        .arg("--cache")
+        .arg(&cache)
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .env_remove("DIVIDE_LEDGER")
+        .env_remove("DIVIDE_OBS")
+        .arg("table1"));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let ledger = std::fs::read_to_string(cache.join("runs.jsonl")).expect("ledger appended");
+    let lines: Vec<&str> = ledger.lines().collect();
+    assert_eq!(lines.len(), 1, "one run, one ledger line: {ledger}");
+    let line = Json::parse(lines[0]).expect("ledger line parses");
+    let file = std::fs::read_to_string(&metrics).expect("--metrics-out written");
+    assert!(file.contains('\n'), "--metrics-out is pretty-printed");
+    let record = Json::parse(&file).expect("--metrics-out parses");
+    assert_eq!(record, line, "--metrics-out equals the ledger line");
+    for key in ["cpu_ms", "counters", "stages"] {
+        assert!(record.get(key).is_some(), "record carries {key}");
+    }
+
+    // With observability off nothing is appended, but --metrics-out
+    // still writes a record carrying the run's CPU time.
+    let out = run(divide()
+        .args(["--scale", "small", "--out"])
+        .arg(&dir)
+        .arg("--cache")
+        .arg(&cache)
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .env_remove("DIVIDE_LEDGER")
+        .env("DIVIDE_OBS", "off")
+        .arg("table1"));
+    assert!(out.status.success());
+    let ledger = std::fs::read_to_string(cache.join("runs.jsonl")).expect("ledger kept");
+    assert_eq!(ledger.lines().count(), 1, "DIVIDE_OBS=off must not append");
+    let record = Json::parse(&std::fs::read_to_string(&metrics).expect("--metrics-out"))
+        .expect("--metrics-out parses");
+    assert!(
+        record.get("cpu_ms").and_then(Json::as_f64).is_some(),
+        "cpu_ms present with observability off"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -122,7 +201,7 @@ fn ledger_line(command: &str, wall_ms: f64, peak_heap: u64) -> String {
             "\"argv\":[\"divide\"],\"wall_ms\":{},",
             "\"stages\":{{\"dataset\":{{\"wall_ms\":{},\"alloc_bytes\":1000,",
             "\"alloc_count\":10,\"peak_heap_delta\":{}}}}},",
-            "\"peak_heap_bytes\":{},\"io_bytes_read\":0,\"io_bytes_written\":0}}\n"
+            "\"peak_heap_bytes\":{}}}\n"
         ),
         command,
         wall_ms,

@@ -9,8 +9,10 @@
 //! * `counties.csv` — `county_id,lat,lng,median_income,locations,remoteness_km`
 //!
 //! `import` reconstructs a [`BroadbandDataset`] from the two tables
-//! (the grid is rebuilt from its fixed parameters), and round-trips
-//! exactly.
+//! (the grid is rebuilt from its fixed parameters). Ids, location
+//! counts and county links round-trip exactly; the real-valued fields
+//! come back at the CSV's precision: cell centres and county seats at
+//! 7 decimals, median incomes at 2 and remoteness at 3.
 
 use crate::counties::County;
 use crate::dataset::{BroadbandDataset, DatasetColumns};
@@ -95,6 +97,16 @@ pub enum ImportError {
         /// The id the row carries.
         county_id: u32,
     },
+    /// A county row's `locations` is not the sum of its cells'
+    /// `locations` in cells.csv.
+    CountyTotalMismatch {
+        /// The county id.
+        county: u32,
+        /// The total counties.csv lists.
+        listed: u64,
+        /// The sum over the county's cells.
+        cells: u64,
+    },
 }
 
 impl std::fmt::Display for ImportError {
@@ -118,6 +130,14 @@ impl std::fmt::Display for ImportError {
                     "counties.csv line {line}: county_id {county_id} out of order"
                 )
             }
+            ImportError::CountyTotalMismatch {
+                county,
+                listed,
+                cells,
+            } => write!(
+                f,
+                "counties.csv lists {listed} locations for county {county}, its cells hold {cells}"
+            ),
         }
     }
 }
@@ -136,10 +156,11 @@ fn parse<T: std::str::FromStr>(
     })
 }
 
-/// Reconstructs a dataset from the two CSV tables, recomputing
-/// aggregate fields. The US-cell count is recomputed from the CONUS
-/// polygon as at generation time. County rows must be listed in id
-/// order from 0, and every cell id at most once.
+/// Reconstructs a dataset from the two CSV tables. The total location
+/// count is summed from the cells and the US-cell count recomputed from
+/// the CONUS polygon as at generation time. County rows must be listed
+/// in id order from 0, each with the sum of its cells' locations, and
+/// every cell id at most once.
 pub fn import(cells_csv: &str, counties_csv: &str) -> Result<BroadbandDataset, ImportError> {
     let grid = GeoHexGrid::starlink();
 
@@ -224,6 +245,21 @@ pub fn import(cells_csv: &str, counties_csv: &str) -> Result<BroadbandDataset, I
     {
         return Err(ImportError::DuplicateCell {
             cell: rows.cell[w[0]].as_u64(),
+        });
+    }
+    let mut county_cells = vec![0u64; counties.len()];
+    for (&county, &locations) in rows.county.iter().zip(&rows.locations) {
+        county_cells[county as usize] += locations;
+    }
+    if let Some((c, &cells)) = counties
+        .iter()
+        .zip(&county_cells)
+        .find(|(c, &cells)| c.locations != cells)
+    {
+        return Err(ImportError::CountyTotalMismatch {
+            county: c.id,
+            listed: c.locations,
+            cells,
         });
     }
     let cols = rows.select(&order);
@@ -341,6 +377,28 @@ mod tests {
             ImportError::MisindexedCounty {
                 line: 2,
                 county_id: 1
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_county_total_that_disagrees_with_its_cells() {
+        let ds = small();
+        let counties = counties_to_csv(&ds);
+        let mut lines: Vec<String> = counties.lines().map(str::to_string).collect();
+        // Add one location to county 0's listed total.
+        let mut f: Vec<String> = lines[1].split(',').map(str::to_string).collect();
+        let listed: u64 = f[4].parse().unwrap();
+        f[4] = (listed + 1).to_string();
+        lines[1] = f.join(",");
+        let edited = lines.join("\n") + "\n";
+        let err = import(&cells_to_csv(&ds), &edited).unwrap_err();
+        assert_eq!(
+            err,
+            ImportError::CountyTotalMismatch {
+                county: 0,
+                listed: listed + 1,
+                cells: listed
             }
         );
     }

@@ -1,12 +1,12 @@
 //! Minimal JSON document model, serializer, and parser.
 //!
-//! The workspace vendors no serde, so the run manifest and the
-//! `--metrics-out` bench records are emitted through this hand-rolled
-//! value type. Objects preserve insertion order (manifests diff
-//! cleanly), strings are RFC 8259-escaped, and non-finite floats
-//! serialize as `null` (JSON has no NaN/Infinity). [`Json::parse`]
-//! reads documents back — `divide report` uses it to diff run
-//! manifests and bench records.
+//! The workspace vendors no serde, so the run manifest and the flat
+//! run record (ledger lines and `--metrics-out` files) are emitted
+//! through this hand-rolled value type. Objects preserve insertion
+//! order (manifests diff cleanly), strings are RFC 8259-escaped, and
+//! non-finite floats serialize as `null` (JSON has no NaN/Infinity).
+//! [`Json::parse`] reads documents back — `divide history` and
+//! `divide report` use it to load run records.
 
 use std::fmt::Write as _;
 

@@ -3,9 +3,11 @@
 //! Every observed `divide` run appends one flat JSON record — schema
 //! [`SCHEMA`] — as a single line to `runs.jsonl` (by default inside
 //! the snapshot-cache directory, since that is the one place that
-//! already persists across runs). `divide history` reads the file
-//! back to render per-stage trend tables and gate the newest run
-//! against the median of its predecessors.
+//! already persists across runs). `--metrics-out FILE` writes the same
+//! record, pretty-printed, to a file of its own. `divide history`
+//! reads the ledger back to render per-stage trend tables and gate the
+//! newest run against the median of its predecessors; `divide report`
+//! runs the same table and gate over two records.
 //!
 //! ## Why JSONL, appended with `O_APPEND`
 //!
@@ -19,8 +21,7 @@
 //! rest of the history.
 
 use crate::json::Json;
-use crate::manifest::RunInfo;
-use crate::metrics;
+use crate::manifest::{self, RunInfo};
 use crate::span;
 use std::io::Write;
 use std::path::Path;
@@ -28,22 +29,25 @@ use std::path::Path;
 /// The ledger record schema identifier. `v2` added per-stage
 /// `busy_ns`/`chunks` parallel-efficiency fields; readers filter on
 /// this exact string, so `v1` lines in an old ledger are skipped the
-/// same way corrupt lines are.
+/// same way corrupt lines are. The later `cpu_ms` and `counters`
+/// fields are optional to readers and kept the version.
 pub const SCHEMA: &str = "leo-obs/run-ledger/v2";
 
-/// Builds the flat ledger record of the current run from the span,
+/// Builds the flat record of the current run — the one run record the
+/// ledger appends and `--metrics-out` writes — from the span,
 /// allocator, metric, parallel-attribution, and RSS registries.
-/// `ts_unix` is seconds since the epoch (passed in so callers control
-/// clock access); `git` is the output of [`git_describe`], if any.
+/// Stages are keyed by name in execution order; `counters` carries
+/// every metric counter plus `leo-fault`'s `fault.*`/`degraded.*`.
+/// Fields whose source is unavailable (no allocator hook, no
+/// `/proc`) are absent rather than zero. `ts_unix` is seconds since
+/// the epoch (passed in so callers control clock access); `git` is the
+/// output of [`git_describe`], if any.
 pub fn build_record(info: &RunInfo, wall_ms: f64, ts_unix: u64, git: Option<&str>) -> Json {
     let allocs = span::alloc_snapshot();
     let parallel = crate::scope::parallel_snapshot();
     let mut stages = Json::obj();
-    for (path, stats) in span::snapshot() {
-        let name = match path.strip_prefix("stage.") {
-            Some(rest) if !rest.contains('/') => rest.to_string(),
-            _ => continue,
-        };
+    for (name, stats) in manifest::stage_spans(&span::snapshot()) {
+        let path = format!("stage.{name}");
         let mut stage = Json::obj().set("wall_ms", stats.total_ns as f64 / 1e6);
         if let Some(a) = allocs.get(&path) {
             stage = stage
@@ -69,7 +73,13 @@ pub fn build_record(info: &RunInfo, wall_ms: f64, ts_unix: u64, git: Option<&str
     if let Some(git) = git {
         rec = rec.set("git", git);
     }
-    rec = rec.set("wall_ms", wall_ms).set("stages", stages);
+    rec = rec.set("wall_ms", wall_ms);
+    // CPU time (user+system): the stable basis for overhead A/Bs on a
+    // loaded host, where wall-clock is scheduler noise.
+    if let Some(cpu) = crate::resource::cpu_ms() {
+        rec = rec.set("cpu_ms", cpu);
+    }
+    rec = rec.set("stages", stages);
     if let Some(hook) = crate::resource::alloc_hook() {
         let r = (hook.read)();
         rec = rec
@@ -79,11 +89,11 @@ pub fn build_record(info: &RunInfo, wall_ms: f64, ts_unix: u64, git: Option<&str
     if let Some(rss) = crate::resource::rss_kb() {
         rec = rec.set("peak_rss_kb", rss.peak_kb);
     }
-    rec.set("io_bytes_read", metrics::counter_value("io.bytes_read"))
-        .set(
-            "io_bytes_written",
-            metrics::counter_value("io.bytes_written"),
-        )
+    let mut counters = Json::obj();
+    for (name, value) in crate::scope::counters_merged() {
+        counters = counters.set(&name, value);
+    }
+    rec.set("counters", manifest::with_fault_counters(counters))
 }
 
 /// Best-effort `git describe --always --dirty --tags` of the current
@@ -192,6 +202,7 @@ mod tests {
         {
             let _stage = span::enter("stage.dataset");
         }
+        crate::metrics::counter_add("t_ledger.counter", 3);
         let rec = build_record(&info(), 42.0, 1_700_000_000, Some("abc1234-dirty"));
         assert_eq!(rec.get("schema").and_then(|v| v.as_str()), Some(SCHEMA));
         assert_eq!(
@@ -203,8 +214,12 @@ mod tests {
             Some("abc1234-dirty")
         );
         assert!(rec.get("stages").unwrap().get("dataset").is_some());
-        assert!(rec.get("io_bytes_read").is_some());
-        assert!(rec.get("io_bytes_written").is_some());
+        let counters = rec.get("counters").expect("counters");
+        assert_eq!(
+            counters.get("t_ledger.counter").and_then(|v| v.as_u64()),
+            Some(3)
+        );
+        assert!(rec.get("io_bytes_read").is_none());
         crate::reset();
     }
 

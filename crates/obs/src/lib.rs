@@ -15,11 +15,11 @@
 //! Instrumentation must **never** perturb artifact bytes. Everything in
 //! this crate therefore only *observes*: spans and metrics accumulate
 //! into global registries that are read back exclusively by the run
-//! manifest and the `--metrics-out` bench record — never by the model,
-//! the dataset generator, or the renderers. `tests/determinism.rs`
-//! asserts the contract end to end: a run with observability enabled
-//! produces byte-identical CSVs/SVGs to one with `DIVIDE_OBS=off`, at 1
-//! and 4 worker threads.
+//! manifest and the flat run record (ledger line, `--metrics-out`) —
+//! never by the model, the dataset generator, or the renderers.
+//! `tests/determinism.rs` asserts the contract end to end: a run with
+//! observability enabled produces byte-identical CSVs/SVGs to one with
+//! `DIVIDE_OBS=off`, at 1 and 4 worker threads.
 //!
 //! ## Switching it off
 //!

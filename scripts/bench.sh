@@ -1,21 +1,25 @@
 #!/usr/bin/env bash
 # Bench harness: paper-scale cold and warm cached runs of the full
 # pipeline (`divide --scale paper all`) at 1 and 4 worker threads,
-# each captured via --metrics-out and merged into BENCH_tier1.json at
-# the repo root. The warm runs must be pure cache hits; the JSON
-# records both wall-clocks so the snapshot cache's win is a tracked
-# number, not an anecdote. Extra warm runs (best of 3, --trace vs
-# plain, at both thread counts) record the timeline recorder's
-# overhead, a DIVIDE_ALLOC=off leg records the tracking allocator's
-# overhead — gated below 2% (BENCH_ALLOC_GATE_PCT), the budget
-# DESIGN.md §12 promises — an inert-fault-plan leg records the
-# fault-injection sites' overhead, gated below 1%
-# (BENCH_FAULT_GATE_PCT, DESIGN.md §13), and a DIVIDE_OBS on/off leg
-# records the scoped-observability machinery's overhead (span stack,
-# sharded counters, scope propagation through the pool), gated below
-# 2% (BENCH_OBS_GATE_PCT, DESIGN.md §15). The JSON also carries a
-# `host` section (cpu_cores, kernel) so numbers from different boxes
-# are never compared blind.
+# each captured via --metrics-out (the flat run record the ledger
+# appends) and merged into BENCH_tier1.json at the repo root. The warm
+# runs must be pure cache hits; the JSON records both wall-clocks so
+# the snapshot cache's win is a tracked number, not an anecdote, and a
+# `stages` section with every stage's wall-clock, cold and warm, at
+# both thread counts. The JSON also carries a `host` section
+# (cpu_cores, kernel) so numbers from different boxes are never
+# compared blind.
+#
+# Telemetry's own cost is measured by one A/B harness (`ab_leg`) over a
+# table of env toggles: the timeline recorder (DIVIDE_TRACE=1), the
+# tracking allocator (DIVIDE_ALLOC), an inert fault plan (DIVIDE_FAULT)
+# and the scoped-observability machinery (DIVIDE_OBS). Every leg runs
+# 10 order-alternated pairs at --threads 1 and is scored by the median
+# of per-pair CPU-time deltas (see ab_leg for why). Three legs are
+# gated: allocator < 2% (BENCH_ALLOC_GATE_PCT, DESIGN.md §12), fault
+# sites < 1% (BENCH_FAULT_GATE_PCT, §13), observability scopes < 2%
+# (BENCH_OBS_GATE_PCT, §15); BENCH_{ALLOC,FAULT,OBS}_SKIP=1 bypasses
+# one. `trace_overhead_pct` is informational, with no budget.
 #
 # The JSON also records `thread_scaling` — the threads_4/threads_1
 # wall-clock ratios (cold and warm). On hosts with >= 4 cores a ratio
@@ -40,9 +44,10 @@
 #   scripts/bench.sh          regenerate BENCH_tier1.json
 #   scripts/bench.sh --gate   regenerate, then `divide history` the
 #                             ledger: exits 3 when the newest warm run
-#                             regressed the wall-clock or peak heap of
-#                             any stage by more than $BENCH_GATE_PCT
-#                             percent (20) over the prior median.
+#                             regressed the wall-clock, CPU time or
+#                             peak heap of the run or of any stage by
+#                             more than $BENCH_GATE_PCT percent (20)
+#                             over the prior median.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -83,111 +88,79 @@ for threads in 1 4; do
     # artifacts would be measuring a different program.
     diff -r --exclude run_manifest.json "$work/cold-$threads" "$work/warm-$threads" \
         || { echo "[bench] warm artifacts differ at $threads threads" >&2; exit 1; }
-
-    # Tracing overhead at this thread count: the same warm run with
-    # the recorder on vs off, best of 3 each — single samples are all
-    # scheduler noise on a loaded box.
-    echo "[bench] divide --scale paper all --threads $threads (warm, --trace vs plain, 3x each)"
-    for rep in 1 2 3; do
-        ./target/release/divide --scale paper all \
-            --out "$work/plain-rep-$threads" --cache "$cachedir" --threads "$threads" -q \
-            --metrics-out "$work/plain-rep-$threads-$rep.json" >/dev/null
-        ./target/release/divide --scale paper all \
-            --out "$work/traced-rep-$threads" --cache "$cachedir" --threads "$threads" -q \
-            --trace --metrics-out "$work/traced-rep-$threads-$rep.json" >/dev/null
-    done
-    diff -r --exclude run_manifest.json --exclude trace.json --exclude trace.folded \
-        "$work/warm-$threads" "$work/traced-rep-$threads" \
-        || { echo "[bench] --trace changed artifact bytes at $threads threads" >&2; exit 1; }
 done
 
-# Allocator overhead: warm single-threaded runs with tracking on vs
-# DIVIDE_ALLOC=off, as adjacent pairs with the order *alternating*
-# each pair (a box that throttles every other run would otherwise
-# charge the whole penalty to whichever leg always ran first). Two
-# deliberate choices tame the noise a gate this tight (2%) needs:
+# Tracing must not change artifact bytes with the worker lanes busy
+# too: one traced warm run at 4 threads.
+echo "[bench] divide --scale paper all --threads 4 (warm, --trace)"
+./target/release/divide --scale paper all --out "$work/traced-4" --cache "$work/cache-4" \
+    --threads 4 -q --trace >/dev/null
+diff -r --exclude run_manifest.json --exclude trace.json --exclude trace.folded \
+    "$work/warm-4" "$work/traced-4" \
+    || { echo "[bench] --trace changed artifact bytes at 4 threads" >&2; exit 1; }
+
+# Telemetry overhead legs: warm runs with a feature on vs off, as
+# adjacent pairs with the order *alternating* each pair (a box that
+# throttles every other run would otherwise charge the whole penalty
+# to whichever side always ran first). Three choices tame the noise a
+# 1-2% budget needs:
 #
 #   * The legs run at --threads 1. On an oversubscribed box the pool
 #     adds condvar-wake and context-switch churn whose CPU cost is
 #     scheduler luck — measured >10% CPU-time swing run to run at 4
-#     threads, swamping a sub-percent signal. Allocator overhead per
-#     op is thread-count-independent, so the single-threaded
-#     measurement is the same answer with far less variance.
-#   * The score is min-vs-min over each leg's CPU time (cpu_ms,
-#     nanosecond schedstat; wall_ms fallback off-Linux): allocator
-#     bookkeeping is pure CPU, CPU time shrugs off the preemption that
-#     makes wall-clock flap, and interference is one-sided — it only
-#     ever adds time — so the minimum over the reps estimates each
-#     leg's noise-free floor and the floors' difference is the
-#     tracking cost.
-echo "[bench] divide --scale paper all --threads 1 (warm, DIVIDE_ALLOC on/off, 10 pairs)"
-alloc_leg() { # $1 = on|off, $2 = rep index
-    DIVIDE_ALLOC="$1" ./target/release/divide --scale paper all \
-        --out "$work/alloc-$1-rep" --cache "$work/cache-1" --threads 1 -q \
-        --metrics-out "$work/alloc-$1-rep$2.json" >/dev/null
+#     threads, swamping a sub-percent signal. Per-op telemetry cost is
+#     thread-count-independent, so the single-threaded measurement is
+#     the same answer with far less variance.
+#   * The cost is CPU time (cpu_ms, nanosecond schedstat): telemetry
+#     bookkeeping is pure CPU, and CPU time shrugs off the preemption
+#     that makes wall-clock flap.
+#   * The score is the median of per-pair deltas. This host's CPU-time
+#     floor is bimodal (co-tenancy phases), and min-vs-min flaps by
+#     several percent when only one side's 10 samples happen to land
+#     in the fast phase. The two runs of a pair execute back-to-back
+#     inside one phase, so their delta cancels it; the median discards
+#     the pairs a phase transition splits.
+#
+# Each row: leg name, the env of the feature-on side, the env of the
+# feature-off side. The obs leg disables the tracking allocator on
+# both sides, isolating the scope machinery (span stack, sharded
+# counters, ObsContext propagation) from the separately gated
+# allocator cost. The fault plan is inert: p=0, so nothing ever fires,
+# but every choke point pays its hash-and-compare probe.
+ab_legs=(
+    "trace|DIVIDE_TRACE=1|"
+    "alloc||DIVIDE_ALLOC=off"
+    "fault|DIVIDE_FAULT=seed=1;io.write:p=0,mode=err|"
+    "obs_scope|DIVIDE_ALLOC=off|DIVIDE_ALLOC=off DIVIDE_OBS=off"
+)
+ab_run() { # $1 = leg, $2 = on|off, $3 = rep, $4 = env assignments
+    # Each side runs with exactly its row's toggles, whatever the
+    # caller exported. $4 splits into NAME=VALUE words.
+    # shellcheck disable=SC2086
+    env -u DIVIDE_TRACE -u DIVIDE_ALLOC -u DIVIDE_FAULT -u DIVIDE_OBS $4 \
+        ./target/release/divide --scale paper all \
+        --out "$work/$1-$2-rep" --cache "$work/cache-1" --threads 1 -q \
+        --metrics-out "$work/$1-$2-rep$3.json" >/dev/null
 }
-for rep in 1 2 3 4 5 6 7 8 9 10; do
-    if [ $((rep % 2)) -eq 1 ]; then
-        alloc_leg on "$rep"; alloc_leg off "$rep"
-    else
-        alloc_leg off "$rep"; alloc_leg on "$rep"
-    fi
-done
-diff -r --exclude run_manifest.json "$work/warm-1" "$work/alloc-off-rep" \
-    || { echo "[bench] DIVIDE_ALLOC=off changed artifact bytes" >&2; exit 1; }
-
-# Fault-injection overhead: every choke point (io.*, cache.decode,
-# ledger.append, pool.chunk, stage.*) probes the fault engine on every
-# call; with no plan active that probe is a single relaxed atomic load,
-# and with an *inert* plan active (p=0, so nothing ever fires) it adds
-# one hash-and-compare per call. The budget is < 1% (DESIGN.md §13).
-# Same estimator as the allocator leg above: order-alternating
-# single-threaded warm pairs, min-vs-min CPU time.
-echo "[bench] divide --scale paper all --threads 1 (warm, inert fault plan on/off, 10 pairs)"
-fault_leg() { # $1 = on|off, $2 = rep index
-    local plan=""
-    [ "$1" = on ] && plan="seed=1;io.write:p=0,mode=err"
-    DIVIDE_FAULT="$plan" ./target/release/divide --scale paper all \
-        --out "$work/fault-$1-rep" --cache "$work/cache-1" --threads 1 -q \
-        --metrics-out "$work/fault-$1-rep$2.json" >/dev/null
+ab_leg() { # $1 = leg, $2 = feature-on env, $3 = feature-off env
+    echo "[bench] divide --scale paper all --threads 1 (warm, $1 on/off, 10 pairs)"
+    for rep in 1 2 3 4 5 6 7 8 9 10; do
+        if [ $((rep % 2)) -eq 1 ]; then
+            ab_run "$1" on "$rep" "$2"; ab_run "$1" off "$rep" "$3"
+        else
+            ab_run "$1" off "$rep" "$3"; ab_run "$1" on "$rep" "$2"
+        fi
+    done
+    for side in on off; do
+        diff -r --exclude run_manifest.json --exclude trace.json --exclude trace.folded \
+            "$work/warm-1" "$work/$1-$side-rep" \
+            || { echo "[bench] $1 $side changed artifact bytes" >&2; exit 1; }
+    done
 }
-for rep in 1 2 3 4 5 6 7 8 9 10; do
-    if [ $((rep % 2)) -eq 1 ]; then
-        fault_leg on "$rep"; fault_leg off "$rep"
-    else
-        fault_leg off "$rep"; fault_leg on "$rep"
-    fi
+for row in "${ab_legs[@]}"; do
+    IFS='|' read -r leg on_env off_env <<<"$row"
+    ab_leg "$leg" "$on_env" "$off_env"
 done
-diff -r --exclude run_manifest.json "$work/warm-1" "$work/fault-on-rep" \
-    || { echo "[bench] inert fault plan changed artifact bytes" >&2; exit 1; }
-
-# Scoped-observability overhead: DIVIDE_OBS on vs off, with the
-# tracking allocator disabled on BOTH legs so the measurement isolates
-# the scope machinery (span stack + registry locks, sharded counters,
-# ObsContext propagation through the pool) from the separately-gated
-# allocator cost. Same order-alternating single-threaded warm pairs,
-# but a *paired* estimator — median of per-pair CPU-time deltas —
-# instead of min-vs-min: this host's CPU-time floor is bimodal
-# (co-tenancy phases), and min-vs-min flaps by several percent when
-# only one leg's 10 samples happen to land in the fast phase. The two
-# runs of a pair execute back-to-back inside one phase, so their delta
-# cancels it; the median discards the pairs a phase transition splits
-# (DESIGN.md §15's < 2% budget).
-echo "[bench] divide --scale paper all --threads 1 (warm, DIVIDE_OBS on/off, 10 pairs)"
-obs_leg() { # $1 = on|off, $2 = rep index
-    DIVIDE_ALLOC=off DIVIDE_OBS="$1" ./target/release/divide --scale paper all \
-        --out "$work/obs-$1-rep" --cache "$work/cache-1" --threads 1 -q \
-        --metrics-out "$work/obs-$1-rep$2.json" >/dev/null
-}
-for rep in 1 2 3 4 5 6 7 8 9 10; do
-    if [ $((rep % 2)) -eq 1 ]; then
-        obs_leg on "$rep"; obs_leg off "$rep"
-    else
-        obs_leg off "$rep"; obs_leg on "$rep"
-    fi
-done
-diff -r --exclude run_manifest.json "$work/warm-1" "$work/obs-off-rep" \
-    || { echo "[bench] DIVIDE_OBS=off changed artifact bytes" >&2; exit 1; }
 
 # Per-kernel medians: bench_kernels ends with a machine-readable
 # KERNELS_JSON line (and asserts each rewritten kernel is bit-identical
@@ -203,68 +176,57 @@ python3 - "$work" BENCH_tier1.json <<'PY'
 import json, os, platform, sys
 
 work, out_path = sys.argv[1], sys.argv[2]
+load = lambda name: json.load(open(f"{work}/{name}.json"))
 result = {
     "schema": "divide/bench-tier1/v1",
     "scale": "paper",
     "command": "all",
     "host": {"cpu_cores": os.cpu_count() or 1, "kernel": platform.release()},
     "runs": {},
+    "stages": {},
 }
-best = lambda pattern: min(
-    json.load(open(f"{work}/{pattern.format(r)}"))["wall_ms"] for r in (1, 2, 3))
 for threads in (1, 4):
-    cold = json.load(open(f"{work}/cold-{threads}.json"))
-    warm = json.load(open(f"{work}/warm-{threads}.json"))
+    cold, warm = load(f"cold-{threads}"), load(f"warm-{threads}")
     wc = warm["counters"]
     assert wc.get("cache.hit", 0) >= 1, f"warm run at {threads} threads missed the cache: {wc}"
     # The resource telemetry must have measured the run (DESIGN.md §12).
     assert warm.get("alloc_bytes_total", 0) > 0, warm.keys()
     assert warm.get("peak_rss_kb", 0) > 0, warm.keys()
-    plain = best(f"plain-rep-{threads}-{{}}.json")
-    traced = best(f"traced-rep-{threads}-{{}}.json")
     result["runs"][f"threads_{threads}"] = {
         "cold_wall_ms": cold["wall_ms"],
         "warm_wall_ms": warm["wall_ms"],
-        "cold_dataset_stage_ms": cold["stages"].get("dataset"),
-        "warm_dataset_stage_ms": warm["stages"].get("dataset"),
+        "cold_cpu_ms": cold["cpu_ms"],
+        "warm_cpu_ms": warm["cpu_ms"],
         "warm_speedup": cold["wall_ms"] / warm["wall_ms"],
         "cache_bytes_written": cold["counters"].get("cache.bytes_written", 0),
         "cache_bytes_read": wc.get("cache.bytes_read", 0),
-        # Informational (not a *_ms key pair a report gate compares):
-        # tracing's cost relative to the identical untraced warm run.
-        "trace_overhead_pct": round(100.0 * (traced - plain) / plain, 2),
         "alloc_bytes_total": warm["alloc_bytes_total"],
         "peak_heap_bytes": warm.get("peak_heap_bytes", 0),
         "peak_rss_kb": warm["peak_rss_kb"],
     }
-# Allocator overhead: min-vs-min CPU time over the order-alternating
-# single-threaded on/off reps (see the bench loop for why CPU time,
-# one thread, and minima — not wall-clock means or medians).
-cost = lambda rec: rec.get("cpu_ms") or rec["wall_ms"]
-reps = range(1, 11)
-on = min(cost(json.load(open(f"{work}/alloc-on-rep{r}.json"))) for r in reps)
-off = min(cost(json.load(open(f"{work}/alloc-off-rep{r}.json"))) for r in reps)
-result["alloc_overhead_pct"] = round(100.0 * (on - off) / off, 2)
-# Fault-injection overhead: same min-vs-min CPU estimator over the
-# inert-plan on/off pairs (see the fault loop for what "inert" means).
-fon = min(cost(json.load(open(f"{work}/fault-on-rep{r}.json"))) for r in reps)
-foff = min(cost(json.load(open(f"{work}/fault-off-rep{r}.json"))) for r in reps)
-result["fault_overhead_pct"] = round(100.0 * (fon - foff) / foff, 2)
-# Scoped-observability overhead over the DIVIDE_OBS on/off pairs
-# (both legs ran with DIVIDE_ALLOC=off, so this isolates the scope
-# machinery from the separately-gated allocator cost). Paired
-# estimator — median of per-pair deltas — because the two runs of a
-# pair share the host's performance phase while min-vs-min needs both
-# legs to independently sample the fast phase (see the obs loop).
-obs_deltas = sorted(
-    100.0 * (oon - ooff) / ooff
-    for r in reps
-    for oon in [cost(json.load(open(f"{work}/obs-on-rep{r}.json")))]
-    for ooff in [cost(json.load(open(f"{work}/obs-off-rep{r}.json")))])
-mid = len(obs_deltas) // 2
-obs_median = (obs_deltas[mid] if len(obs_deltas) % 2
-              else (obs_deltas[mid - 1] + obs_deltas[mid]) / 2.0)
-result["obs_scope_overhead_pct"] = round(obs_median, 2)
+    # Every stage's wall-clock, in execution order.
+    for phase, rec in (("cold", cold), ("warm", warm)):
+        for name, stage in rec["stages"].items():
+            row = result["stages"].setdefault(name, {})
+            row[f"{phase}_threads_{threads}_wall_ms"] = stage["wall_ms"]
+# Telemetry overhead per leg: the median over the order-alternated
+# pairs of each pair's CPU-time delta (see ab_leg for why). The raw
+# per-pair CPU and wall times are kept so any other estimator can be
+# recomputed from the same runs.
+def median(xs):
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2.0
+result["overhead_pairs"] = {}
+for leg in ("trace", "alloc", "fault", "obs_scope"):
+    pairs = []
+    for r in range(1, 11):
+        on, off = load(f"{leg}-on-rep{r}"), load(f"{leg}-off-rep{r}")
+        pairs.append({"on_cpu_ms": on["cpu_ms"], "off_cpu_ms": off["cpu_ms"],
+                      "on_wall_ms": on["wall_ms"], "off_wall_ms": off["wall_ms"]})
+    result["overhead_pairs"][leg] = pairs
+    result[f"{leg}_overhead_pct"] = round(median(
+        100.0 * (p["on_cpu_ms"] - p["off_cpu_ms"]) / p["off_cpu_ms"] for p in pairs), 2)
 # Thread scaling: 4-thread wall over 1-thread wall. < 1.0 means the
 # worker pool is paying off; >= 1.0 is the negative-scaling regression
 # the pool was built to fix (gated below on hosts with enough cores).
@@ -275,10 +237,9 @@ result["thread_scaling"] = {
 }
 # End-to-end warm decode throughput: snapshot payload bytes read over
 # the single-threaded warm dataset stage's wall-clock (MB/s) — the
-# number the columnar v2 codec is meant to move.
-stage_ms = t1["warm_dataset_stage_ms"] or 0.0
-result["decode_throughput_mbps"] = (
-    round(t1["cache_bytes_read"] / 1e6 / (stage_ms / 1e3), 2) if stage_ms else 0.0)
+# number the columnar codec is meant to move.
+stage_ms = result["stages"]["dataset"]["warm_threads_1_wall_ms"]
+result["decode_throughput_mbps"] = round(t1["cache_bytes_read"] / 1e6 / (stage_ms / 1e3), 2)
 # Per-kernel criterion medians (bench_kernels' KERNELS_JSON line).
 with open(f"{work}/kernels.json") as f:
     result["kernels"] = json.load(f)
@@ -288,74 +249,37 @@ with open(out_path, "w") as f:
 for name, run in result["runs"].items():
     print(f"[bench] {name}: cold {run['cold_wall_ms']:.0f} ms, "
           f"warm {run['warm_wall_ms']:.0f} ms ({run['warm_speedup']:.2f}x), "
-          f"trace overhead {run['trace_overhead_pct']:+.1f}%, "
-          f"peak rss {run['peak_rss_kb']} kB")
-print(f"[bench] allocator overhead (1-thread cpu floor): {result['alloc_overhead_pct']:+.2f}%")
-print(f"[bench] fault-site overhead (1-thread cpu floor): {result['fault_overhead_pct']:+.2f}%")
-print(f"[bench] obs-scope overhead (paired-median 1-thread cpu): {result['obs_scope_overhead_pct']:+.2f}%")
+          f"warm cpu {run['warm_cpu_ms']:.0f} ms, peak rss {run['peak_rss_kb']} kB")
+for leg in result["overhead_pairs"]:
+    print(f"[bench] {leg} overhead (paired-median 1-thread cpu): "
+          f"{result[f'{leg}_overhead_pct']:+.2f}%")
 scaling = result["thread_scaling"]
 print(f"[bench] thread scaling (threads_4 / threads_1): "
       f"cold {scaling['cold']:.2f}x, warm {scaling['warm']:.2f}x")
 print(f"[bench] warm decode throughput: {result['decode_throughput_mbps']:.1f} MB/s; "
       f"snapshot_decode median {result['kernels']['snapshot_decode_ms']:.3f} ms")
 print(f"[bench] wrote {out_path}")
+
+# Overhead gates: each budget is a percent of CPU time on the
+# paper-scale pipeline; a skip knob bypasses one gate on a box too
+# loaded even for the paired estimator.
+failed = []
+for leg, budget_var, default, skip_var in (
+    ("alloc", "BENCH_ALLOC_GATE_PCT", 2.0, "BENCH_ALLOC_SKIP"),  # DESIGN.md §12
+    ("fault", "BENCH_FAULT_GATE_PCT", 1.0, "BENCH_FAULT_SKIP"),  # DESIGN.md §13
+    ("obs_scope", "BENCH_OBS_GATE_PCT", 2.0, "BENCH_OBS_SKIP"),  # DESIGN.md §15
+):
+    if os.environ.get(skip_var, "0") == "1":
+        print(f"[bench] {skip_var}=1: {leg}-overhead gate skipped")
+        continue
+    pct, budget = result[f"{leg}_overhead_pct"], float(os.environ.get(budget_var) or default)
+    if pct >= budget:
+        failed.append(f"{leg} overhead {pct:+.2f}% >= {budget}% budget ({skip_var}=1 to bypass)")
+    else:
+        print(f"[bench] {leg}-overhead gate passed: {pct:+.2f}% < {budget}%")
+if failed:
+    sys.exit("\n".join(f"[bench] {f}" for f in failed))
 PY
-
-# Allocator-overhead gate: the tracking allocator's budget is < 2%
-# wall-clock on the paper-scale pipeline (DESIGN.md §12).
-# BENCH_ALLOC_SKIP=1 bypasses on a box too loaded even for the
-# min-vs-min estimator.
-if [ "${BENCH_ALLOC_SKIP:-0}" = "1" ]; then
-    echo "[bench] BENCH_ALLOC_SKIP=1: allocator-overhead gate skipped"
-else
-    python3 - BENCH_tier1.json "${BENCH_ALLOC_GATE_PCT:-2}" <<'PY'
-import json, sys
-
-pct = json.load(open(sys.argv[1]))["alloc_overhead_pct"]
-budget = float(sys.argv[2])
-if pct >= budget:
-    sys.exit(f"[bench] allocator overhead {pct:+.2f}% >= {budget}% budget "
-             "(BENCH_ALLOC_SKIP=1 to bypass)")
-print(f"[bench] allocator-overhead gate passed: {pct:+.2f}% < {budget}%")
-PY
-fi
-
-# Fault-site-overhead gate: the injection probes' budget is < 1%
-# (DESIGN.md §13) — the sites must stay effectively free when no fault
-# ever fires. BENCH_FAULT_SKIP=1 bypasses on a loaded box.
-if [ "${BENCH_FAULT_SKIP:-0}" = "1" ]; then
-    echo "[bench] BENCH_FAULT_SKIP=1: fault-overhead gate skipped"
-else
-    python3 - BENCH_tier1.json "${BENCH_FAULT_GATE_PCT:-1}" <<'PY'
-import json, sys
-
-pct = json.load(open(sys.argv[1]))["fault_overhead_pct"]
-budget = float(sys.argv[2])
-if pct >= budget:
-    sys.exit(f"[bench] fault-site overhead {pct:+.2f}% >= {budget}% budget "
-             "(BENCH_FAULT_SKIP=1 to bypass)")
-print(f"[bench] fault-overhead gate passed: {pct:+.2f}% < {budget}%")
-PY
-fi
-
-# Scoped-observability gate: the handle-based scope machinery's budget
-# is < 2% CPU on the paper-scale pipeline (DESIGN.md §15) — per-stage
-# attribution must stay effectively free. BENCH_OBS_SKIP=1 bypasses on
-# a loaded box.
-if [ "${BENCH_OBS_SKIP:-0}" = "1" ]; then
-    echo "[bench] BENCH_OBS_SKIP=1: obs-scope-overhead gate skipped"
-else
-    python3 - BENCH_tier1.json "${BENCH_OBS_GATE_PCT:-2}" <<'PY'
-import json, sys
-
-pct = json.load(open(sys.argv[1]))["obs_scope_overhead_pct"]
-budget = float(sys.argv[2])
-if pct >= budget:
-    sys.exit(f"[bench] obs-scope overhead {pct:+.2f}% >= {budget}% budget "
-             "(BENCH_OBS_SKIP=1 to bypass)")
-print(f"[bench] obs-scope-overhead gate passed: {pct:+.2f}% < {budget}%")
-PY
-fi
 
 # Negative-scaling gate: with >= 4 physical cores, 4 threads must beat
 # 1 thread on both the cold and warm paper-scale runs.

@@ -157,7 +157,7 @@ assert checked >= 5, f"only {checked} artifact checksums recorded"
 print(f"[tier1] checkpoint validates ({checked} artifact checksums verified)")
 PY
 
-echo "[tier1] divide fig2 --quiet --metrics-out writes a valid bench record"
+echo "[tier1] divide fig2 --quiet --metrics-out writes a valid run record"
 bench="$out/BENCH_fig2.json"
 quiet_err="$out/quiet_stderr.txt"
 ./target/release/divide --scale small fig2 --out "$out" --quiet \
@@ -170,22 +170,27 @@ fi
 python3 - "$bench" "$out/run_manifest.json" <<'PY'
 import json, sys
 
+# --metrics-out writes the ledger's run record (leo_obs::ledger).
 bench = json.load(open(sys.argv[1]))
 for key in ("schema", "command", "scale", "seed", "threads", "wall_ms",
-            "stages", "counters"):
-    assert key in bench, f"bench record missing {key!r}"
-assert bench["schema"] == "leo-obs/bench/v1", bench["schema"]
+            "cpu_ms", "stages", "counters"):
+    assert key in bench, f"run record missing {key!r}"
+assert bench["schema"] == "leo-obs/run-ledger/v2", bench["schema"]
 assert bench["command"] == "fig2", bench["command"]
 assert bench["seed"] == 7, bench["seed"]
 assert bench["threads"] >= 1, bench["threads"]
-assert "dataset" in bench["stages"] and "fig2" in bench["stages"], bench["stages"]
+assert bench["cpu_ms"] > 0, bench["cpu_ms"]
+assert list(bench["stages"]) == ["dataset", "fig2"], bench["stages"]
+for name, stage in bench["stages"].items():
+    assert stage["wall_ms"] > 0, (name, stage)
+assert bench["counters"].get("io.bytes_written", 0) > 0, bench["counters"]
 
 manifest = json.load(open(sys.argv[2]))
 for key in ("schema", "command", "seed", "threads", "stages", "spans", "metrics"):
     assert key in manifest, f"run manifest missing {key!r}"
 stage_names = [s["name"] for s in manifest["stages"]]
 assert stage_names[0] == "dataset", stage_names
-print("[tier1] bench record and manifest validate")
+print("[tier1] run record and manifest validate")
 PY
 
 echo "[tier1] cold vs warm cached runs produce identical artifact trees"
@@ -370,26 +375,22 @@ print(f"[tier1] trace validates: {len(events)} events, {len(lanes)} lanes; "
       f"{len(stage_par)} stages carry reconciled parallel sections")
 PY
 
-echo "[tier1] divide report gates on regressions"
-./target/release/divide report \
-    --baseline "$traced/run_manifest.json" \
-    --candidate "$traced/run_manifest.json" >/dev/null \
+echo "[tier1] divide report gates on regressions between two run records"
+./target/release/divide report --baseline "$bench" --candidate "$bench" >/dev/null \
     || { echo "[tier1] self-diff report should exit 0" >&2; exit 1; }
-python3 - "$traced/run_manifest.json" "$out/slowed_manifest.json" <<'PY'
+python3 - "$bench" "$out/slowed_record.json" <<'PY'
 import json, sys
 
 doc = json.load(open(sys.argv[1]))
-for stage in doc["stages"]:
-    if stage["name"] == "dataset":
-        stage["wall_ms"] = max(stage["wall_ms"] * 10, 100.0)
+stage = doc["stages"]["dataset"]
+stage["wall_ms"] = max(stage["wall_ms"] * 10, 100.0)
 json.dump(doc, open(sys.argv[2], "w"))
 PY
-if ./target/release/divide report \
-    --baseline "$traced/run_manifest.json" \
-    --candidate "$out/slowed_manifest.json" >/dev/null; then
-    echo "[tier1] report missed a 10x dataset-stage regression" >&2
-    exit 1
-fi
+code=0
+./target/release/divide report --baseline "$bench" \
+    --candidate "$out/slowed_record.json" >/dev/null || code=$?
+[ "$code" -eq 3 ] \
+    || { echo "[tier1] report exited $code on a 10x dataset-stage regression, expected 3" >&2; exit 1; }
 
 echo "[tier1] divide history trends over the cold+warm ledger"
 # The cold and warm runs above share $cachedir, so its ledger holds two
